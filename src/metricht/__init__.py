@@ -12,8 +12,7 @@ from .syntax import (
     And, Atom, BOT, Bottom, Formula, FULL, Implies, Interval, IntervalError,
     Next, Or, Prev, Release, Since, Theory, Trigger, TRUE, Until, always,
     eventually, final, format_formula, historically, iff, initial,
-    interval_from_bounds, neg, normalize_interval, once, print_formula,
-    true_, weak_next, weak_prev,
+    interval_from_bounds, neg, once, weak_next, weak_prev,
 )
 from .parser import ParseError, parse_formula, parse_theory
 from .traces import (

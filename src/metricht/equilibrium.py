@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .semantics import is_model, mht_sat, strictness_axiom
+from .semantics import is_model, mht_sat
 from .syntax import Theory
 from .traces import EnumerationBounds, TimedHTTrace, enumerate_total_traces, refinements
 
@@ -30,42 +30,34 @@ class EquivVerdict:
     counterexample: tuple[TimedHTTrace, int, str] | None = None
 
 
+def _first_smaller_model(total: TimedHTTrace, theory: Theory) -> TimedHTTrace | None:
+    """The first refinement of a total trace that still satisfies the theory."""
+    for smaller in refinements(total):
+        if is_model(smaller, theory):
+            return smaller
+    return None
+
+
 def is_equilibrium(trace: TimedHTTrace, theory: Theory) -> EquilibriumVerdict:
     """Scan refinements in order; the first satisfying one is the witness."""
     if not trace.is_total():
         raise ValueError("equilibrium is defined for total traces")
     if not is_model(trace, theory):
         raise ValueError("the trace is not a model of the theory")
-    for smaller in refinements(trace):
-        if is_model(smaller, theory):
-            return EquilibriumVerdict(False, smaller)
-    return EquilibriumVerdict(True, None)
+    witness = _first_smaller_model(trace, theory)
+    return EquilibriumVerdict(witness is None, witness)
 
 
-def _effective(theory: Theory, bounds: EnumerationBounds, with_strictness: bool) -> Theory:
-    if bounds.strict_only and with_strictness:
-        return Theory(theory.formulas + (strictness_axiom(),), name=theory.name)
-    return theory
-
-
-def enumerate_equilibrium(theory: Theory, bounds: EnumerationBounds,
-                          with_strictness_axiom: bool = True) -> list[TimedHTTrace]:
+def enumerate_equilibrium(theory: Theory, bounds: EnumerationBounds) -> list[TimedHTTrace]:
     """All equilibrium models within bounds, in enumeration order.
 
-    Under strict bounds the strictness axiom is appended to the theory (it is
-    inert on strict traces but keeps the checked theory faithful to the
-    strict-timing setting); pass with_strictness_axiom=False to disable.
-    Results for different lengths are independent, so the outcome is the
+    Strict bounds enumerate only strict traces, whose refinements are strict
+    too, so the strictness axiom holds throughout and is not added.  Results
+    for different lengths are independent, so the outcome is the
     concatenation of the per-length enumerations.
     """
-    gamma = _effective(theory, bounds, with_strictness_axiom)
-    out = []
-    for total in enumerate_total_traces(bounds):
-        if not is_model(total, gamma):
-            continue
-        if not any(is_model(smaller, gamma) for smaller in refinements(total)):
-            out.append(total)
-    return out
+    return [total for total in enumerate_total_traces(bounds)
+            if is_model(total, theory) and _first_smaller_model(total, theory) is None]
 
 
 def bounded_equiv(left: Theory, right: Theory, bounds: EnumerationBounds) -> EquivVerdict:

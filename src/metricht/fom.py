@@ -594,7 +594,9 @@ def parse_fom(text: str) -> FOMFormula:
 _GROUND_ATOM_RE = re.compile(r"^([a-z][A-Za-z0-9_]*)\((\d+)\)$")
 
 
-def _ground_atoms(entries: Iterable[str]) -> frozenset[tuple[str, int]]:
+def _ground_atoms(entries: list[str], key: str) -> frozenset[tuple[str, int]]:
+    if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
+        raise ValueError(f"{key!r} must be a list of ground atoms such as \"p(0)\"")
     out = set()
     for entry in entries:
         m = _GROUND_ATOM_RE.match(entry.strip())
@@ -607,9 +609,12 @@ def _ground_atoms(entries: Iterable[str]) -> frozenset[tuple[str, int]]:
 def interpretation_from_json(data: dict) -> QHTInterpretation:
     if not isinstance(data, dict) or "domain" not in data:
         raise ValueError("interpretation JSON must be an object with a 'domain' list")
-    there = _ground_atoms(data.get("there", []))
-    here = _ground_atoms(data["here"]) if "here" in data else there
-    return QHTInterpretation(tuple(data["domain"]), here, there)
+    domain = data["domain"]
+    if not isinstance(domain, list) or any(type(d) is not int or d < 0 for d in domain):
+        raise ValueError("'domain' must be a list of non-negative integers")
+    there = _ground_atoms(data.get("there", []), "there")
+    here = _ground_atoms(data["here"], "here") if "here" in data else there
+    return QHTInterpretation(tuple(domain), here, there)
 
 
 def interpretation_to_json(interp: QHTInterpretation) -> dict:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .syntax import (
     And, Atom, BOT, Formula, Implies, IntervalError, Interval, Next, Or, Prev,
-    Release, Since, Theory, Trigger, Until, always, eventually, final,
-    historically, initial, interval_from_bounds, neg, once, true_, weak_next,
+    Release, Since, Theory, Trigger, TRUE, Until, always, eventually, final,
+    historically, initial, interval_from_bounds, neg, once, weak_next,
     weak_prev,
 )
 
@@ -205,7 +205,7 @@ class _Parser:
             }[tok.kind](interval, arg)
         if tok.kind == "#true":
             self.next()
-            return true_()
+            return TRUE
         if tok.kind == "#false":
             self.next()
             return BOT

@@ -12,7 +12,6 @@ round trips are structural identities.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 
@@ -60,11 +59,6 @@ class Interval:
 
 FULL = Interval(0, None)
 
-_CMP_FORM = re.compile(r"^\s*(<=|>=)\s*(\d+)\s*$")
-_SINGLETON_FORM = re.compile(r"^\s*\[\s*(\d+)\s*\]\s*$")
-_PAIR_FORM = re.compile(r"^\s*([\[(])\s*(\d+)\s*\.\.\s*(\d+|w)?\s*([\])])\s*$")
-
-
 def interval_from_bounds(lower: int, upper: int | None,
                          lower_open: bool = False, upper_closed: bool = False) -> Interval:
     """Map any bracket shape onto the canonical half-open form."""
@@ -73,28 +67,6 @@ def interval_from_bounds(lower: int, upper: int | None,
     lo = lower + 1 if lower_open else lower
     hi = upper + 1 if (upper is not None and upper_closed) else upper
     return Interval(lo, hi)
-
-
-def normalize_interval(text: str) -> Interval:
-    """Normalize an interval surface form; the empty string means [0..w)."""
-    if text.strip() == "":
-        return FULL
-    if "-" in text:
-        raise IntervalError(f"negative numerals are not allowed in {text!r}")
-    m = _CMP_FORM.match(text)
-    if m:
-        op, num = m.group(1), int(m.group(2))
-        return Interval(0, num + 1) if op == "<=" else Interval(num, None)
-    m = _SINGLETON_FORM.match(text)
-    if m:
-        num = int(m.group(1))
-        return Interval(num, num + 1)
-    m = _PAIR_FORM.match(text)
-    if m:
-        lbr, lo, hi, rbr = m.groups()
-        upper = None if hi in (None, "w") else int(hi)
-        return interval_from_bounds(int(lo), upper, lower_open=lbr == "(", upper_closed=rbr == "]")
-    raise IntervalError(f"malformed interval {text!r}")
 
 
 # --------------------------------------------------------------------------
@@ -184,11 +156,7 @@ KERNEL_BINARY = (Until, Release, Since, Trigger)
 # --------------------------------------------------------------------------
 # Derived operators (sugar expands on construction)
 
-def true_() -> Formula:
-    return Implies(BOT, BOT)
-
-
-TRUE = true_()
+TRUE = Implies(BOT, BOT)
 
 
 def neg(phi: Formula) -> Formula:
@@ -324,9 +292,6 @@ _UNARY_NAMES = {Next: "X", Prev: "Y"}
 def format_formula(phi: Formula) -> str:
     """Render phi so that parsing the result reproduces phi exactly."""
     return _fmt(phi)[0]
-
-
-print_formula = format_formula
 
 
 def _iv_txt(interval: Interval) -> str:

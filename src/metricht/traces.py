@@ -183,20 +183,40 @@ def trace_to_json(trace: TimedHTTrace, alphabet: Iterable[str] | None = None) ->
     return {"alphabet": list(alpha), "states": states}
 
 
+def _atom_set(value) -> frozenset[str] | None:
+    """The atoms of a JSON list of strings; None for any other value."""
+    if type(value) is not list:
+        return None
+    for atom in value:
+        if type(atom) is not str:
+            return None
+    return frozenset(value)
+
+
 def trace_from_json(data: dict) -> tuple[TimedHTTrace, tuple[str, ...]]:
-    if not isinstance(data, dict) or "states" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("states"), list):
         raise ValueError("trace JSON must be an object with a 'states' list")
-    alphabet = make_alphabet(data.get("alphabet", []))
-    states, times = [], []
-    for entry in data["states"]:
+    alphabet = _atom_set(data.get("alphabet", []))
+    if alphabet is None:
+        raise ValueError("'alphabet' must be a list of atom names")
+    alphabet = make_alphabet(alphabet)
+    heres, theres, times = [], [], []
+    for index, entry in enumerate(data["states"]):
+        if not isinstance(entry, dict) or "time" not in entry or "there" not in entry:
+            raise ValueError(f"state {index} must be an object with 'time' and 'there'")
         time = entry["time"]
-        if not isinstance(time, int) or time < 0:
-            raise ValueError("times must be non-negative integers")
-        there = frozenset(entry["there"])
-        here = frozenset(entry.get("here", entry["there"]))
-        states.append((here, there))
+        if type(time) is not int or time < 0:
+            raise ValueError(f"state {index}: times must be non-negative integers")
+        there = _atom_set(entry["there"])
+        here = _atom_set(entry["here"]) if "here" in entry else there
+        if there is None or here is None:
+            raise ValueError(f"state {index}: 'here' and 'there' must be lists of atom names")
+        if not here <= there:
+            raise ValueError(f"state {index}: 'here' must be a subset of 'there'")
+        heres.append(here)
+        theres.append(there)
         times.append(time)
-    trace = make_trace(states, times)
+    trace = TimedHTTrace(tuple(heres), tuple(theres), tuple(times))
     if alphabet:
         stray = set(trace.atoms()) - set(alphabet)
         if stray:

@@ -204,3 +204,55 @@ def test_usage_errors(run, tmp_path):
 def test_check_at_out_of_range(run, traffic, member):
     code, _ = run("check", traffic, member, "--at", "9")
     assert code == 2
+
+
+GOOD_STATE = {"time": 0, "there": ["red"]}
+
+
+@pytest.mark.parametrize("data,located", [
+    ({"states": [GOOD_STATE, {"there": ["red"]}]}, True),
+    ({"states": [GOOD_STATE, {"time": 1}]}, True),
+    ({"states": [GOOD_STATE, 5]}, True),
+    ({"states": [GOOD_STATE, ["red"]]}, True),
+    ({"states": [GOOD_STATE, {"time": 1, "there": [5]}]}, True),
+    ({"states": [GOOD_STATE, {"time": 1, "there": "red"}]}, True),
+    ({"states": [GOOD_STATE, {"time": 1, "here": "red", "there": ["red"]}]}, True),
+    ({"states": [GOOD_STATE, {"time": 1, "here": ["green"], "there": ["red"]}]}, True),
+    ({"states": [GOOD_STATE, {"time": True, "there": ["red"]}]}, True),
+    ({"states": [GOOD_STATE, {"time": 1.5, "there": ["red"]}]}, True),
+    ({"states": 5}, False),
+    ({"alphabet": "red", "states": [GOOD_STATE]}, False),
+    ([GOOD_STATE], False),
+], ids=["no-time", "no-there", "state-int", "state-list", "atom-int", "there-str",
+        "here-str", "here-not-subset", "time-bool", "time-float", "states-int",
+        "alphabet-str", "top-list"])
+def test_malformed_trace_json_exits_2(capsys, traffic, tmp_path, data, located):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["check", traffic, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if located:
+        assert "state 1" in err
+
+
+@pytest.mark.parametrize("data", [
+    {"domain": 5, "there": []},
+    {"domain": [0], "there": [5]},
+    {"domain": [0], "there": "p(0)"},
+    {"domain": [0], "here": 5, "there": []},
+    {"domain": [0, True], "there": []},
+    {"domain": [0, -1], "there": []},
+    {"domain": [0, "1"], "there": []},
+], ids=["domain-int", "atom-int", "there-str", "here-int", "domain-bool",
+        "domain-negative", "domain-str"])
+def test_malformed_interpretation_json_exits_2(capsys, tmp_path, data):
+    sentence = tmp_path / "s.fom"
+    sentence.write_text("#true")
+    interp = tmp_path / "i.json"
+    interp.write_text(json.dumps(data))
+    assert main(["qht", "--sentence", str(sentence), "--interp", str(interp)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -8,10 +8,11 @@ from metricht.equilibrium import (
     bounded_equiv, enumerate_equilibrium, is_equilibrium,
 )
 from metricht.parser import parse_theory
-from metricht.semantics import is_model
+from metricht.semantics import is_model, strictness_axiom
 from metricht.syntax import Theory
 from metricht.traces import (
-    EnumerationBounds, make_trace, refinements, total_trace,
+    EnumerationBounds, enumerate_total_traces, make_trace, refinements,
+    total_trace,
 )
 
 RULES = parse_theory(
@@ -110,6 +111,41 @@ def test_strictness_axiom_toggle():
     loose_bounds = EnumerationBounds(("p",), 2, 2, strict_only=False)
     models = enumerate_equilibrium(theory, loose_bounds)
     assert models and all(m.times == (0, 0) for m in models)
+
+
+def _with_strictness(theory):
+    return Theory(theory.formulas + (strictness_axiom(),))
+
+
+def test_strictness_axiom_is_inert_under_strict_bounds():
+    bounds = EnumerationBounds(TRAFFIC_ATOMS, 3, 12, exact_len=True)
+    models = enumerate_equilibrium(WITH_PUSH, bounds)
+    assert [m.times for m in models] == [(0, 5, t) for t in range(6, 13)]
+    assert enumerate_equilibrium(_with_strictness(WITH_PUSH), bounds) == models
+    rng = random.Random(41)
+    small = EnumerationBounds(("p", "q"), 2, 3)
+    for _ in range(25):
+        theory = Theory(tuple(gen_formula(rng, rng.randint(1, 3))
+                              for _ in range(rng.randint(1, 2))))
+        assert enumerate_equilibrium(_with_strictness(theory), small) == \
+            enumerate_equilibrium(theory, small)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_is_equilibrium_agrees_with_enumeration(strict):
+    rng = random.Random(42)
+    bounds = EnumerationBounds(("p", "q"), 2, 2, strict_only=strict)
+    theories = [RULES, parse_theory("p | q\nG (p -> F q)\n"), Theory(())]
+    theories += [Theory(tuple(gen_formula(rng, rng.randint(1, 3))
+                              for _ in range(rng.randint(1, 2)))) for _ in range(25)]
+    for theory in theories:
+        models = set(enumerate_equilibrium(theory, bounds))
+        for total in enumerate_total_traces(bounds):
+            if not is_model(total, theory):
+                continue
+            verdict = is_equilibrium(total, theory)
+            assert verdict.is_equilibrium == (total in models)
+            assert verdict.witness is None or is_model(verdict.witness, theory)
 
 
 def test_bounded_equiv_examples():

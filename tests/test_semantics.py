@@ -133,15 +133,6 @@ def test_subindex_free_formulas_ignore_the_time_map():
             assert mht_sat(t, k, phi) == mht_sat(other, k, phi)
 
 
-def test_cache_changes_nothing():
-    rng = random.Random(16)
-    for _ in range(1000):
-        t = gen_trace(rng)
-        phi = gen_formula(rng, rng.randint(0, 5))
-        k = rng.randrange(t.length)
-        assert mht_sat(t, k, phi, cache=True) == mht_sat(t, k, phi)
-
-
 def test_matches_independent_oracle():
     rng = random.Random(17)
     for _ in range(1500):

@@ -6,16 +6,20 @@ from hypothesis import given, settings
 from conftest import formulas_st, gen_formula
 from metricht.parser import ParseError, parse_formula, parse_theory
 from metricht.syntax import (
-    And, Atom, BOT, Bottom, FULL, Implies, Interval, IntervalError, Next, Or,
-    Prev, Release, Since, Trigger, TRUE, Until, always, eventually, final,
-    format_formula, historically, initial, neg, normalize_interval, once,
-    true_, weak_next, weak_prev,
+    And, Atom, BOT, Bottom, FULL, Implies, Interval, Next, Or, Prev, Release,
+    Since, Trigger, TRUE, Until, always, eventually, final, format_formula,
+    historically, initial, neg, once, weak_next, weak_prev,
 )
 
 P, Q = Atom("p"), Atom("q")
 
 
 # ------------------------------------------------------------------ intervals
+
+def normalize_interval(text: str) -> Interval:
+    """The canonical interval the parser reads from a surface form."""
+    return parse_formula(f"X{text} p").interval
+
 
 def test_normalize_interval_examples():
     assert normalize_interval("[2..4)") == Interval(2, 4)
@@ -31,11 +35,11 @@ def test_normalize_interval_examples():
 
 
 def test_normalize_interval_errors():
-    with pytest.raises(IntervalError):
+    with pytest.raises(ParseError, match="closed upper bound"):
         normalize_interval("[2..w]")
-    with pytest.raises(IntervalError):
+    with pytest.raises(ParseError, match="unexpected character '-'"):
         normalize_interval("[-1..3)")
-    with pytest.raises(IntervalError):
+    with pytest.raises(ParseError):
         normalize_interval("[1..2..3)")
 
 
@@ -184,7 +188,7 @@ def test_desugar_matches_definitions():
     assert weak_next(iv, P) == Or(Next(iv, P), neg(Next(iv, TRUE)))
     assert final() == neg(Next(FULL, TRUE))
     assert initial() == neg(Prev(FULL, TRUE))
-    assert true_() == neg(BOT)
+    assert TRUE == neg(BOT)
 
 
 def test_desugaring_is_total_and_kernel_only():
