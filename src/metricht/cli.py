@@ -210,6 +210,11 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:  # every stage, from parser to semantics, recurses on the tree
+        files = ", ".join(getattr(args, a) for a in ("theory", "left", "right", "sentence")
+                          if hasattr(args, a))
+        print(f"error: {files or '--formula'}: formula nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

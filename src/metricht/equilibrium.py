@@ -13,7 +13,8 @@ from itertools import chain
 
 from .semantics import is_model, mht_sat
 from .syntax import Theory
-from .traces import EnumerationBounds, TimedHTTrace, enumerate_total_traces, refinements
+from .traces import EnumerationBounds, TimedHTTrace, refinements, region_keys, total_traces_at
+from .traces import enumerate_total_traces  # noqa: F401  (bench/tracer.py wraps it here)
 
 
 @dataclass(frozen=True)
@@ -52,12 +53,19 @@ def enumerate_equilibrium(theory: Theory, bounds: EnumerationBounds) -> list[Tim
     """All equilibrium models within bounds, in enumeration order.
 
     Strict bounds enumerate only strict traces, whose refinements are strict
-    too, so the strictness axiom holds throughout and is not added.  Results
-    for different lengths are independent, so the outcome is the
-    concatenation of the per-length enumerations.
+    too, so the strictness axiom holds throughout and is not added.  Only the
+    first time map of each region class is searched; later members replay
+    its equilibrium state sequences with their own time stamps.
     """
-    return [total for total in enumerate_total_traces(bounds)
-            if is_model(total, theory) and _first_smaller_model(total, theory) is None]
+    found: dict[tuple, list] = {}
+    models = []
+    for times, key in region_keys(bounds, theory.formulas):
+        if key not in found:
+            found[key] = [total.there for total in total_traces_at(times, bounds.alphabet)
+                          if is_model(total, theory)
+                          and _first_smaller_model(total, theory) is None]
+        models += (TimedHTTrace(states, states, times) for states in found[key])
+    return models
 
 
 def bounded_equiv(left: Theory, right: Theory, bounds: EnumerationBounds) -> EquivVerdict:
@@ -66,16 +74,22 @@ def bounded_equiv(left: Theory, right: Theory, bounds: EnumerationBounds) -> Equ
     Both total traces and all their refinements are checked, i.e. the
     comparison is on here-and-there models, not merely on total ones.  A
     reported counterexample is definitive; 'equivalent' only means no
-    difference exists inside the bounded space.
+    difference exists inside the bounded space.  Only the first time map of
+    each region class (over both theories) is searched: a later member shows
+    a difference only if that first one already did.
     """
-    for total in enumerate_total_traces(bounds):
-        for trace in chain((total,), refinements(total)):
-            sat_left = is_model(trace, left)
-            sat_right = is_model(trace, right)
-            if sat_left == sat_right:
-                continue
-            side, failing = ("right", right) if sat_left else ("left", left)
-            index = next(i for i, phi in enumerate(failing.formulas)
-                         if not mht_sat(trace, 0, phi))
-            return EquivVerdict(False, (trace, index, side))
+    searched = set()
+    for times, key in region_keys(bounds, left.formulas + right.formulas):
+        if key in searched:
+            continue
+        searched.add(key)
+        for total in total_traces_at(times, bounds.alphabet):
+            for trace in chain((total,), refinements(total)):
+                sat_left, sat_right = is_model(trace, left), is_model(trace, right)
+                if sat_left == sat_right:
+                    continue
+                side, failing = ("right", right) if sat_left else ("left", left)
+                index = next(i for i, phi in enumerate(failing.formulas)
+                             if not mht_sat(trace, 0, phi))
+                return EquivVerdict(False, (trace, index, side))
     return EquivVerdict(True, None)

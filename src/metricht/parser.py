@@ -17,9 +17,9 @@ import re
 from dataclasses import dataclass
 
 from .syntax import (
-    And, Atom, BOT, Formula, Implies, IntervalError, Interval, Next, Or, Prev,
-    Release, Since, Theory, Trigger, TRUE, Until, always, eventually, final,
-    historically, initial, interval_from_bounds, neg, once, weak_next,
+    And, Atom, BOT, FINAL, Formula, INITIAL, Implies, IntervalError, Interval,
+    Next, Or, Prev, Release, Since, Theory, Trigger, TRUE, Until, always,
+    eventually, historically, interval_from_bounds, neg, once, weak_next,
     weak_prev,
 )
 
@@ -52,7 +52,9 @@ _TOKEN_RE = re.compile(
 )
 
 _ATOM_RE = re.compile(r"^[a-z][A-Za-z0-9_]*$")
-_UNARY_OPS = {"X", "wX", "Y", "wY", "G", "F", "H", "O"}
+_UNARY_OPS = {"X": Next, "wX": weak_next, "Y": Prev, "wY": weak_prev,
+              "G": always, "F": eventually, "H": historically, "O": once}
+_CONSTANTS = {"#true": TRUE, "#false": BOT, "#init": INITIAL, "#final": FINAL}
 _BINARY_OPS = {"U": Until, "R": Release, "S": Since, "T": Trigger}
 
 
@@ -182,8 +184,7 @@ class _Parser:
         if tok.kind in _BINARY_OPS:
             self.next()
             interval = self.optional_interval()
-            rhs = self.binary_temporal()
-            return _BINARY_OPS[tok.kind](interval, lhs, rhs)
+            return _BINARY_OPS[tok.kind](interval, lhs, self.binary_temporal())
         return lhs
 
     def unary(self) -> Formula:
@@ -196,25 +197,10 @@ class _Parser:
         if tok.kind in _UNARY_OPS:
             self.next()
             interval = self.optional_interval()
-            arg = self.unary()
-            return {
-                "X": Next, "Y": Prev,
-            }[tok.kind](interval, arg) if tok.kind in ("X", "Y") else {
-                "wX": weak_next, "wY": weak_prev,
-                "G": always, "F": eventually, "H": historically, "O": once,
-            }[tok.kind](interval, arg)
-        if tok.kind == "#true":
+            return _UNARY_OPS[tok.kind](interval, self.unary())
+        if tok.kind in _CONSTANTS:
             self.next()
-            return TRUE
-        if tok.kind == "#false":
-            self.next()
-            return BOT
-        if tok.kind == "#init":
-            self.next()
-            return initial()
-        if tok.kind == "#final":
-            self.next()
-            return final()
+            return _CONSTANTS[tok.kind]
         if tok.kind == "(":
             self.next()
             phi = self.formula()
@@ -223,9 +209,8 @@ class _Parser:
         if tok.kind == tok.text and _ATOM_RE.match(tok.text):
             self.next()
             return Atom(tok.text)
-        if tok.kind == "<eof>":
-            self.fail("unexpected end of input")
-        self.fail(f"unknown operator name {tok.text!r}")
+        self.fail("unexpected end of input" if tok.kind == "<eof>"
+                  else f"unknown operator name {tok.text!r}")
         raise AssertionError  # unreachable
 
 

@@ -8,6 +8,8 @@ stamps), which is the regime the bounded search uses by default.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .syntax import (
     And, Atom, BOT, Bottom, Formula, FULL, Interval, Next, Or, Prev, Release,
     Since, Trigger, TRUE, Until, always, eventually, historically,
@@ -90,13 +92,6 @@ def range_split(phi: Formula, i: int) -> Formula:
 # Termination: every recursive call strictly decreases the rewritten node's
 # interval endpoint sum.
 
-def _fold(combine, parts):
-    out = parts[0]
-    for part in parts[1:]:
-        out = combine(out, part)
-    return out
-
-
 def _expand(cls, iv: Interval, lhs: Formula, rhs: Formula) -> Formula:
     until_like = cls in (Until, Since)
     future = cls in (Until, Release)
@@ -115,14 +110,14 @@ def _expand(cls, iv: Interval, lhs: Formula, rhs: Formula) -> Formula:
     combine, wrap = (Or, And) if until_like else (And, Or)
     if m == 0:
         parts = [step(i, _expand(cls, Interval(0, n - i), lhs, rhs)) for i in range(1, n)]
-        return combine(rhs, wrap(lhs, _fold(combine, parts)))
+        return combine(rhs, wrap(lhs, reduce(combine, parts)))
     if n == m + 1:
         parts = [step(i, _expand(cls, Interval(m - i, m - i + 1), lhs, rhs))
                  for i in range(1, m + 1)]
-        return wrap(lhs, _fold(combine, parts))
+        return wrap(lhs, reduce(combine, parts))
     parts = [step(i, _expand(cls, Interval(m - i, n - i), lhs, rhs)) for i in range(1, m + 1)]
     parts += [step(i, _expand(cls, Interval(0, n - i), lhs, rhs)) for i in range(m + 1, n)]
-    return wrap(lhs, _fold(combine, parts))
+    return wrap(lhs, reduce(combine, parts))
 
 
 def unfold_next(phi: Formula) -> Formula:
@@ -185,7 +180,7 @@ def one_step_eliminate(phi: Formula) -> Formula:
             parts.append(witness if d == 1 else And(none_in(Interval(1, d), BOT), witness))
         if not parts:
             return BOT
-        return _fold(Or, parts)
+        return reduce(Or, parts)
     return map_children(phi, one_step_eliminate)
 
 

@@ -242,6 +242,19 @@ def atoms_of(phi: Formula) -> frozenset[str]:
     return atoms_of(phi.lhs) | atoms_of(phi.rhs)
 
 
+def interval_endpoints(formulas) -> list[int]:
+    """Sorted finite interval bounds (lower, and upper unless w) over all subformulas."""
+    found: set[int] = set()
+    stack = list(formulas)
+    while stack:
+        for part in vars(stack.pop()).values():
+            if isinstance(part, Formula):
+                stack.append(part)
+            elif isinstance(part, Interval):
+                found.update(b for b in (part.lower, part.upper) if b is not None)
+    return sorted(found)
+
+
 def map_children(phi: Formula, fn) -> Formula:
     """Rebuild phi with fn applied to each direct subformula."""
     if isinstance(phi, (Atom, Bottom)):

@@ -8,9 +8,12 @@ all derived traces (total part, reversal, refinements) are fresh objects.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
+
+from .syntax import interval_endpoints
 
 
 _ATOM_RE = re.compile(r"^[a-z][A-Za-z0-9_]*$")
@@ -136,17 +139,36 @@ def _time_maps(length: int, max_time: int, strict: bool) -> Iterator[tuple[int, 
     yield from extend((0,))
 
 
+def region_keys(bounds: EnumerationBounds, formulas) -> Iterator[tuple[tuple[int, ...], tuple]]:
+    """Each time map within bounds, in enumeration order, with its region key.
+
+    The key places every difference tau[j] - tau[k] (k < j) among the interval
+    endpoints.  Satisfaction reads time only through interval.contains(tau[j] -
+    tau[k]), so maps with equal keys (one region class, as in Alur and Dill's
+    timed automata) give the same verdict for every state sequence.
+    """
+    endpoints = interval_endpoints(formulas)
+    for length in bounds.lengths():
+        for times in _time_maps(length, bounds.max_time, bounds.strict_only):
+            yield times, tuple(bisect_right(endpoints, t - s)
+                               for j, t in enumerate(times) for s in times[:j])
+
+
+def total_traces_at(times: tuple[int, ...], alphabet: tuple[str, ...]) -> Iterator[TimedHTTrace]:
+    """Every total trace with this time map, the leftmost state varying slowest."""
+    for states in product(_subsets(alphabet), repeat=len(times)):
+        yield TimedHTTrace(states, states, times)
+
+
 def enumerate_total_traces(bounds: EnumerationBounds) -> Iterator[TimedHTTrace]:
     """Every total trace within bounds, in a fixed lexicographic order.
 
     Order: length ascending, then time maps, then per-state subsets with the
     leftmost state varying slowest.
     """
-    subsets = _subsets(bounds.alphabet)
     for length in bounds.lengths():
         for times in _time_maps(length, bounds.max_time, bounds.strict_only):
-            for states in product(subsets, repeat=length):
-                yield TimedHTTrace(states, states, times)
+            yield from total_traces_at(times, bounds.alphabet)
 
 
 def refinements(trace: TimedHTTrace) -> Iterator[TimedHTTrace]:
@@ -207,6 +229,10 @@ def trace_from_json(data: dict) -> tuple[TimedHTTrace, tuple[str, ...]]:
         time = entry["time"]
         if type(time) is not int or time < 0:
             raise ValueError(f"state {index}: times must be non-negative integers")
+        if not times and time != 0:
+            raise ValueError("state 0: the first time stamp must be 0")
+        if times and time < times[-1]:
+            raise ValueError(f"state {index}: time stamps must be non-decreasing")
         there = _atom_set(entry["there"])
         here = _atom_set(entry["here"]) if "here" in entry else there
         if there is None or here is None:

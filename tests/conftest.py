@@ -7,7 +7,7 @@ import random
 import hypothesis.strategies as st
 
 from metricht.syntax import (
-    And, Atom, BOT, FULL, Implies, Interval, Next, Or, Prev, Release, Since,
+    And, Atom, BOT, Implies, Interval, Next, Or, Prev, Release, Since,
     Trigger, TRUE, Until, always, eventually, historically, iff, initial,
     final, neg, once, weak_next, weak_prev,
 )
@@ -92,10 +92,6 @@ def gen_trace(rng: random.Random, *, atoms=ATOMS, max_len: int = 4, max_gap: int
     else:
         here = [frozenset(a for a in t if rng.random() < 0.7) for t in there]
     return TimedHTTrace(tuple(here), tuple(there), tuple(times))
-
-
-def subindex_free(rng: random.Random) -> Interval:
-    return FULL
 
 
 # ------------------------------------------------------------------ hypothesis

@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import oracle
-from conftest import gen_formula, gen_interval, gen_trace, subindex_free
+from conftest import gen_formula, gen_interval, gen_trace
 from metricht.cli import main as cli_main
 from metricht.equilibrium import enumerate_equilibrium
 from metricht.fom import (
@@ -21,7 +21,7 @@ from metricht.rewrite import (
 )
 from metricht.semantics import em_theory, is_model, mht_sat
 from metricht.syntax import (
-    BOT, Implies, Interval, Next, Prev, Release, Since, Trigger, TRUE, Until,
+    BOT, FULL, Implies, Interval, Next, Prev, Release, Since, Trigger, TRUE, Until,
     format_formula, neg, weak_next, weak_prev,
 )
 from metricht.traces import (
@@ -121,7 +121,7 @@ def test_criterion_3_property_suites():
 
     for _ in range(n):  # subindex-free formulas ignore the time map
         t = gen_trace(rng)
-        phi = gen_formula(rng, rng.randint(0, 4), interval=subindex_free)
+        phi = gen_formula(rng, rng.randint(0, 4), interval=lambda rng: FULL)
         times = [0]
         for _ in range(t.length - 1):
             times.append(times[-1] + rng.randint(0, 5))

@@ -210,22 +210,25 @@ GOOD_STATE = {"time": 0, "there": ["red"]}
 
 
 @pytest.mark.parametrize("data,located", [
-    ({"states": [GOOD_STATE, {"there": ["red"]}]}, True),
-    ({"states": [GOOD_STATE, {"time": 1}]}, True),
-    ({"states": [GOOD_STATE, 5]}, True),
-    ({"states": [GOOD_STATE, ["red"]]}, True),
-    ({"states": [GOOD_STATE, {"time": 1, "there": [5]}]}, True),
-    ({"states": [GOOD_STATE, {"time": 1, "there": "red"}]}, True),
-    ({"states": [GOOD_STATE, {"time": 1, "here": "red", "there": ["red"]}]}, True),
-    ({"states": [GOOD_STATE, {"time": 1, "here": ["green"], "there": ["red"]}]}, True),
-    ({"states": [GOOD_STATE, {"time": True, "there": ["red"]}]}, True),
-    ({"states": [GOOD_STATE, {"time": 1.5, "there": ["red"]}]}, True),
-    ({"states": 5}, False),
-    ({"alphabet": "red", "states": [GOOD_STATE]}, False),
-    ([GOOD_STATE], False),
+    ({"states": [GOOD_STATE, {"there": ["red"]}]}, "state 1"),
+    ({"states": [GOOD_STATE, {"time": 1}]}, "state 1"),
+    ({"states": [GOOD_STATE, 5]}, "state 1"),
+    ({"states": [GOOD_STATE, ["red"]]}, "state 1"),
+    ({"states": [GOOD_STATE, {"time": 1, "there": [5]}]}, "state 1"),
+    ({"states": [GOOD_STATE, {"time": 1, "there": "red"}]}, "state 1"),
+    ({"states": [GOOD_STATE, {"time": 1, "here": "red", "there": ["red"]}]}, "state 1"),
+    ({"states": [GOOD_STATE, {"time": 1, "here": ["green"], "there": ["red"]}]}, "state 1"),
+    ({"states": [GOOD_STATE, {"time": True, "there": ["red"]}]}, "state 1"),
+    ({"states": [GOOD_STATE, {"time": 1.5, "there": ["red"]}]}, "state 1"),
+    ({"states": 5}, None),
+    ({"alphabet": "red", "states": [GOOD_STATE]}, None),
+    ([GOOD_STATE], None),
+    ({"states": [GOOD_STATE, {"time": 3, "there": ["red"]}, {"time": 2, "there": ["red"]}]},
+     "state 2: time stamps must be non-decreasing"),
+    ({"states": [{"time": 1, "there": ["red"]}]}, "state 0: the first time stamp must be 0"),
 ], ids=["no-time", "no-there", "state-int", "state-list", "atom-int", "there-str",
         "here-str", "here-not-subset", "time-bool", "time-float", "states-int",
-        "alphabet-str", "top-list"])
+        "alphabet-str", "top-list", "time-decreasing", "time-first-nonzero"])
 def test_malformed_trace_json_exits_2(capsys, traffic, tmp_path, data, located):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
@@ -234,7 +237,7 @@ def test_malformed_trace_json_exits_2(capsys, traffic, tmp_path, data, located):
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     if located:
-        assert "state 1" in err
+        assert located in err
 
 
 @pytest.mark.parametrize("data", [
@@ -256,3 +259,18 @@ def test_malformed_interpretation_json_exits_2(capsys, tmp_path, data):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 200 + "p" + ")" * 200,
+    "~" * 3000 + "p",
+    "G " * 3000 + "p",
+    "p & " * 3000 + "p",
+], ids=["parens-200", "neg-3000", "always-3000", "and-3000"])
+def test_deep_nesting_exits_2(capsys, tmp_path, member, text):
+    theory = tmp_path / "deep.lp"
+    theory.write_text(text + "\n")
+    assert main(["check", str(theory), member]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"error: {theory}: formula nested too deeply\n"

@@ -1,18 +1,19 @@
 import random
 from dataclasses import replace
+from itertools import chain
 
 import pytest
 
 from conftest import gen_formula
 from metricht.equilibrium import (
-    bounded_equiv, enumerate_equilibrium, is_equilibrium,
+    EquivVerdict, bounded_equiv, enumerate_equilibrium, is_equilibrium,
 )
 from metricht.parser import parse_theory
-from metricht.semantics import is_model, strictness_axiom
+from metricht.semantics import is_model, mht_sat, strictness_axiom
 from metricht.syntax import Theory
 from metricht.traces import (
     EnumerationBounds, enumerate_total_traces, make_trace, refinements,
-    total_trace,
+    region_keys, total_trace,
 )
 
 RULES = parse_theory(
@@ -211,3 +212,41 @@ def test_bounded_equiv_matches_oracle():
         expected = oracle.theories_equivalent(left.formulas, right.formulas,
                                               ("p", "q"), 2, 3)
         assert bounded_equiv(left, right, bounds).equivalent == expected
+
+
+def _oracle_model(trace, theory):
+    import oracle
+    return oracle.theory_sat(trace.here, trace.there, trace.times, theory.formulas)
+
+
+def _plain_equiv(left, right, bounds):
+    """Reference: every total trace and every refinement, with no region classes."""
+    for total in enumerate_total_traces(bounds):
+        for trace in chain((total,), refinements(total)):
+            sat_left, sat_right = is_model(trace, left), is_model(trace, right)
+            if sat_left != sat_right:
+                side, failing = ("right", right) if sat_left else ("left", left)
+                index = next(i for i, phi in enumerate(failing.formulas)
+                             if not mht_sat(trace, 0, phi))
+                return EquivVerdict(False, (trace, index, side))
+    return EquivVerdict(True, None)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_region_classes_match_the_plain_search(strict):
+    rng = random.Random(43 if strict else 44)
+    bounds = EnumerationBounds(("p", "q"), 3, 6, strict_only=strict)
+    merged = 0
+    for _ in range(6):
+        left, right = (Theory(tuple(gen_formula(rng, rng.randint(1, 3))
+                                    for _ in range(rng.randint(1, 2)))) for _ in range(2))
+        plain = [total for total in enumerate_total_traces(bounds)
+                 if _oracle_model(total, left)
+                 and not any(_oracle_model(r, left) for r in refinements(total))]
+        assert enumerate_equilibrium(left, bounds) == plain
+        # the reordered copy is equivalent, so that comparison scans the whole space
+        for other in (right, Theory(left.formulas[::-1])):
+            assert bounded_equiv(left, other, bounds) == _plain_equiv(left, other, bounds)
+        keys = [key for _, key in region_keys(bounds, left.formulas + right.formulas)]
+        merged += len(set(keys)) < len(keys)
+    assert merged
