@@ -23,7 +23,7 @@ from .traces import (
 from .semantics import em_theory, is_model, mht_sat, strictness_axiom
 from .equilibrium import (
     EquilibriumVerdict, EquivVerdict, bounded_equiv, enumerate_equilibrium,
-    is_equilibrium,
+    enumerate_models, is_equilibrium,
 )
 from .rewrite import (
     PASSES, bool_dual, one_step_eliminate, push_negation, range_split,

@@ -8,17 +8,18 @@ verdict or a pass precondition failure, 2 for parse/usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import fom
-from .equilibrium import bounded_equiv, enumerate_equilibrium
+from .equilibrium import bounded_equiv, enumerate_equilibrium, enumerate_models
 from .parser import ParseError, parse_formula, parse_theory
 from .rewrite import PASSES, range_split
-from .semantics import is_model, mht_sat
+from .semantics import is_model, mht_sat  # noqa: F401  (bench/tracer.py wraps is_model here)
 from .syntax import Theory, format_formula
-from .traces import (EnumerationBounds, enumerate_total_traces, make_alphabet,
-                     trace_from_json, trace_to_json)
+from .traces import EnumerationBounds, make_alphabet, trace_from_json, trace_to_json
+from .traces import enumerate_total_traces  # noqa: F401  (bench/tracer.py wraps it here)
 
 
 def _read(path: str) -> str:
@@ -77,10 +78,7 @@ def cmd_check(args) -> int:
 def cmd_models(args) -> int:
     theory = _load_theory(args.theory)
     bounds = _bounds(args, [theory])
-    if args.equilibrium:
-        models = enumerate_equilibrium(theory, bounds)
-    else:
-        models = [t for t in enumerate_total_traces(bounds) if is_model(t, theory)]
+    models = (enumerate_equilibrium if args.equilibrium else enumerate_models)(theory, bounds)
     for trace in models:
         print(json.dumps(trace_to_json(trace, bounds.alphabet)))
     print(f"{len(models)} model{'' if len(models) == 1 else 's'}")
@@ -150,6 +148,7 @@ def cmd_qht(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache  # built once per process, not on every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="metricht",

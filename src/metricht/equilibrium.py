@@ -49,23 +49,35 @@ def is_equilibrium(trace: TimedHTTrace, theory: Theory) -> EquilibriumVerdict:
     return EquilibriumVerdict(witness is None, witness)
 
 
-def enumerate_equilibrium(theory: Theory, bounds: EnumerationBounds) -> list[TimedHTTrace]:
-    """All equilibrium models within bounds, in enumeration order.
+def _replayed(theory: Theory, bounds: EnumerationBounds, keep) -> list[TimedHTTrace]:
+    """The total traces within bounds that `keep` accepts, in enumeration order.
 
-    Strict bounds enumerate only strict traces, whose refinements are strict
-    too, so the strictness axiom holds throughout and is not added.  Only the
-    first time map of each region class is searched; later members replay
-    its equilibrium state sequences with their own time stamps.
+    Only the first time map of each region class is searched; later members
+    replay its accepted state sequences with their own time stamps.
     """
     found: dict[tuple, list] = {}
     models = []
     for times, key in region_keys(bounds, theory.formulas):
         if key not in found:
             found[key] = [total.there for total in total_traces_at(times, bounds.alphabet)
-                          if is_model(total, theory)
-                          and _first_smaller_model(total, theory) is None]
+                          if keep(total)]
         models += (TimedHTTrace(states, states, times) for states in found[key])
     return models
+
+
+def enumerate_models(theory: Theory, bounds: EnumerationBounds) -> list[TimedHTTrace]:
+    """All total models within bounds, in enumeration order."""
+    return _replayed(theory, bounds, lambda total: is_model(total, theory))
+
+
+def enumerate_equilibrium(theory: Theory, bounds: EnumerationBounds) -> list[TimedHTTrace]:
+    """All equilibrium models within bounds, in enumeration order.
+
+    Strict bounds enumerate only strict traces, whose refinements are strict
+    too, so the strictness axiom holds throughout and is not added.
+    """
+    return _replayed(theory, bounds, lambda total: is_model(total, theory)
+                     and _first_smaller_model(total, theory) is None)
 
 
 def bounded_equiv(left: Theory, right: Theory, bounds: EnumerationBounds) -> EquivVerdict:

@@ -3,6 +3,8 @@
 Implication is evaluated in both the here-world and the there-world, which
 is what separates this semantics from the classical (total-trace) one; on a
 total trace the two worlds coincide and the evaluator is plain metric LTL.
+A binary temporal operator scans only the states inside its time window and
+stops at the first state whose left operand decides the verdict.
 """
 
 from __future__ import annotations
@@ -50,34 +52,21 @@ def _sat(here: tuple[frozenset[str], ...], there: tuple[frozenset[str], ...],
     if isinstance(phi, Prev):
         return (k > 0 and phi.interval.contains(tau[k] - tau[k - 1])
                 and _sat(here, there, tau, k - 1, phi.arg))
-    if isinstance(phi, Until):
-        for j in range(k, lam):
-            if phi.interval.contains(tau[j] - tau[k]) \
-                    and _sat(here, there, tau, j, phi.rhs) \
-                    and all(_sat(here, there, tau, i, phi.lhs) for i in range(k, j)):
-                return True
-        return False
-    if isinstance(phi, Release):
-        for j in range(k, lam):
-            if phi.interval.contains(tau[j] - tau[k]) \
-                    and not _sat(here, there, tau, j, phi.rhs) \
-                    and not any(_sat(here, there, tau, i, phi.lhs) for i in range(k, j)):
-                return False
-        return True
-    if isinstance(phi, Since):
-        for j in range(k, -1, -1):
-            if phi.interval.contains(tau[k] - tau[j]) \
-                    and _sat(here, there, tau, j, phi.rhs) \
-                    and all(_sat(here, there, tau, i, phi.lhs) for i in range(j + 1, k + 1)):
-                return True
-        return False
-    if isinstance(phi, Trigger):
-        for j in range(k, -1, -1):
-            if phi.interval.contains(tau[k] - tau[j]) \
-                    and not _sat(here, there, tau, j, phi.rhs) \
-                    and not any(_sat(here, there, tau, i, phi.lhs) for i in range(j + 1, k + 1)):
-                return False
-        return True
+    if isinstance(phi, (Until, Release, Since, Trigger)):
+        # U/S: some j in the window has rhs, and lhs from k up to but not at j;
+        # R/T: no j fails so.  d never shrinks, and lhs at j decides all later j.
+        exists = isinstance(phi, (Until, Since))
+        step = 1 if isinstance(phi, (Until, Release)) else -1
+        lower, upper = phi.interval.lower, phi.interval.upper
+        for j in range(k, lam if step == 1 else -1, step):
+            d = abs(tau[j] - tau[k])
+            if upper is not None and d >= upper:
+                break
+            if d >= lower and _sat(here, there, tau, j, phi.rhs) == exists:
+                return exists
+            if _sat(here, there, tau, j, phi.lhs) != exists:
+                return not exists
+        return not exists
     raise TypeError(f"not a formula node: {phi!r}")
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import metricht
 from metricht.cli import main
 
 TRAFFIC = """% traffic light control
@@ -274,3 +279,22 @@ def test_deep_nesting_exits_2(capsys, tmp_path, member, text):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err == f"error: {theory}: formula nested too deeply\n"
+
+
+def test_repeated_calls_answer_as_fresh_processes(capsys, monkeypatch, traffic, member):
+    # main reuses one parser per process; a usage error must not leave state
+    # behind that changes a later answer
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(Path(metricht.__file__).resolve().parents[1])}
+    formula = "G (push -> F[1..15) G[0..30] green)"
+    for argv in (["check", traffic],
+                 ["check", traffic, member],
+                 ["models", traffic, "--max-len", "3", "--max-time", "7"],
+                 ["translate", "--formula", formula, "--raw"],
+                 ["translate", "--formula", formula],
+                 ["check", traffic, member]):
+        code = main(argv)
+        out = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "metricht", *argv],
+                               capture_output=True, text=True, env=env, check=False)
+        assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

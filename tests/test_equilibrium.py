@@ -6,7 +6,7 @@ import pytest
 
 from conftest import gen_formula
 from metricht.equilibrium import (
-    EquivVerdict, bounded_equiv, enumerate_equilibrium, is_equilibrium,
+    EquivVerdict, bounded_equiv, enumerate_equilibrium, enumerate_models, is_equilibrium,
 )
 from metricht.parser import parse_theory
 from metricht.semantics import is_model, mht_sat, strictness_axiom
@@ -240,9 +240,10 @@ def test_region_classes_match_the_plain_search(strict):
     for _ in range(6):
         left, right = (Theory(tuple(gen_formula(rng, rng.randint(1, 3))
                                     for _ in range(rng.randint(1, 2)))) for _ in range(2))
-        plain = [total for total in enumerate_total_traces(bounds)
-                 if _oracle_model(total, left)
-                 and not any(_oracle_model(r, left) for r in refinements(total))]
+        models = [total for total in enumerate_total_traces(bounds) if _oracle_model(total, left)]
+        assert enumerate_models(left, bounds) == models
+        plain = [total for total in models
+                 if not any(_oracle_model(r, left) for r in refinements(total))]
         assert enumerate_equilibrium(left, bounds) == plain
         # the reordered copy is equivalent, so that comparison scans the whole space
         for other in (right, Theory(left.formulas[::-1])):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracle
-from conftest import gen_formula, gen_trace
+from conftest import gen_formula, gen_interval, gen_trace
 from metricht.parser import parse_formula, parse_theory
 from metricht.semantics import em_theory, is_model, mht_sat, strictness_axiom
 from metricht.syntax import (
@@ -152,3 +152,24 @@ def test_matches_oracle_exhaustively_on_small_space():
         for phi in formulas:
             for k in range(trace.length):
                 assert mht_sat(trace, k, phi) == oracle.sat(here, there, times, k, phi)
+
+
+def test_matches_oracle_on_long_traces():
+    # windows far shorter than the trace, and states where the left operand
+    # decides the scan, at every state of long non-total traces
+    rng = random.Random(19)
+    drawn = []
+
+    def interval(rng):
+        drawn.append(gen_interval(rng, max_lo=6, max_width=8))
+        return drawn[-1]
+
+    for _ in range(400):
+        t = gen_trace(rng, max_len=25)
+        while t.is_total():
+            t = gen_trace(rng, max_len=25)
+        phi = gen_formula(rng, rng.randint(1, 3), interval=interval)
+        for k in range(t.length):
+            assert mht_sat(t, k, phi) == oracle.sat(t.here, t.there, t.times, k, phi), \
+                (format_formula(phi), t, k)
+    assert any(iv.is_empty() for iv in drawn) and any(iv.upper is None for iv in drawn)
