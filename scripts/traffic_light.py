@@ -5,10 +5,11 @@ The light is red by default; pushing the button makes it turn green within
 15 seconds and stay green for up to 30 more.  With a button push pinned at
 time 5 and exactly three states, the search space up to final time 20
 contains exactly 14 equilibrium models: red, push+red, green with times
-(0, 5, t) for t = 6..19.
+(0, 5, t) for t = 6..19.  Exits 1 if the search finds any other models.
 """
 
 import json
+import sys
 import time
 
 from metricht import (
@@ -22,7 +23,7 @@ G (push -> F[1..15) G[0..30] green)
 """
 
 
-def main() -> None:
+def main() -> int:
     base = parse_theory(RULES, name="traffic-light")
     atoms = ("green", "push", "red")
 
@@ -40,7 +41,14 @@ def main() -> None:
     for model in models:
         print(json.dumps(trace_to_json(model, atoms)))
     print(f"{len(models)} models in {elapsed:.1f}s")
+    states = ({"red"}, {"push", "red"}, {"green"})
+    if ([model.times for model in models] != [(0, 5, t) for t in range(6, 20)]
+            or any(model.there != states for model in models)):
+        print("expected the 14 models red, push+red, green at times (0, 5, 6..19)",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

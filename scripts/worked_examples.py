@@ -1,38 +1,50 @@
 #!/usr/bin/env python3
-"""Showcase of the rewrite passes and the first-order translation."""
+"""Showcase of the rewrite passes and the first-order translation.
+
+Exits 1 unless every printed formula and sentence parses back to itself.
+"""
+
+import sys
 
 from metricht import (
     bool_dual, format_formula, one_step_eliminate, parse_formula, range_split,
     time_swap, to_unary_nf, unfold_next,
 )
-from metricht.fom import format_fom, simplify_fom, translate
+from metricht.fom import FOMFormula, format_fom, parse_fom, simplify_fom, translate
 
 
-def show(label: str, text: str) -> None:
+def show(label: str, node) -> bool:
+    """Print a formula or sentence; return whether its text parses back to it."""
+    if isinstance(node, FOMFormula):
+        text, parse = format_fom(node), parse_fom
+    else:
+        text, parse = format_formula(node), parse_formula
     print(f"{label:>14}: {text}")
+    return parse(text) == node
 
 
-def main() -> None:
+def main() -> int:
     phi = parse_formula("p U[2..4) q")
-    show("formula", format_formula(phi))
-    show("unfolded", format_formula(unfold_next(phi)))
-    show("unary nf", format_formula(to_unary_nf(phi)))
-    show("split at 3", format_formula(range_split(phi, 3)))
-    show("time-swapped", format_formula(time_swap(phi)))
-    show("dual", format_formula(bool_dual(phi)))
-    print()
-
     one_step = parse_formula("X[2..5) p")
-    show("formula", format_formula(one_step))
-    show("one-step", format_formula(one_step_eliminate(one_step)))
-    print()
-
     rule = parse_formula("G (push -> F[1..15) G[0..30] green)")
-    show("formula", format_formula(rule))
     raw = translate(rule, 0)
-    show("translated", format_fom(raw))
-    show("simplified", format_fom(simplify_fom(raw)))
+    sections = [
+        [("formula", phi), ("unfolded", unfold_next(phi)), ("unary nf", to_unary_nf(phi)),
+         ("split at 3", range_split(phi, 3)), ("time-swapped", time_swap(phi)),
+         ("dual", bool_dual(phi))],
+        [("formula", one_step), ("one-step", one_step_eliminate(one_step))],
+        [("formula", rule), ("translated", raw), ("simplified", simplify_fom(raw))],
+    ]
+    unparsed = []
+    for i, section in enumerate(sections):
+        if i:
+            print()
+        unparsed += [label for label, node in section if not show(label, node)]
+    if unparsed:
+        print(f"did not parse back to itself: {', '.join(unparsed)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -14,7 +14,7 @@ import sys
 
 from . import fom
 from .equilibrium import bounded_equiv, enumerate_equilibrium, enumerate_models
-from .parser import ParseError, parse_formula, parse_theory
+from .parser import parse_formula, parse_theory
 from .rewrite import PASSES, range_split
 from .semantics import is_model, mht_sat  # noqa: F401  (bench/tracer.py wraps is_model here)
 from .syntax import Theory, format_formula
@@ -22,17 +22,22 @@ from .traces import EnumerationBounds, make_alphabet, trace_from_json, trace_to_
 from .traces import enumerate_total_traces  # noqa: F401  (bench/tracer.py wraps it here)
 
 
-def _read(path: str) -> str:
+def _load(path: str, parse):
+    """`parse` applied to the file's text; errors about the contents name the file."""
     with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        text = handle.read()
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_theory(path: str) -> Theory:
-    return parse_theory(_read(path), name=path)
+    return _load(path, lambda text: parse_theory(text, name=path))
 
 
 def _load_trace(path: str):
-    return trace_from_json(json.loads(_read(path)))
+    return _load(path, lambda text: trace_from_json(json.loads(text)))
 
 
 def _bounds(args, theories) -> EnumerationBounds:
@@ -130,8 +135,8 @@ def cmd_translate(args) -> int:
 
 
 def cmd_qht(args) -> int:
-    sentence = fom.parse_fom(_read(args.sentence))
-    interp = fom.interpretation_from_json(json.loads(_read(args.interp)))
+    sentence = _load(args.sentence, fom.parse_fom)
+    interp = _load(args.interp, lambda text: fom.interpretation_from_json(json.loads(text)))
     if args.equilibrium:
         if not fom.qht_sat(fom.QHTInterpretation(interp.domain, interp.there, interp.there),
                            sentence):
@@ -183,9 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translate", help="print the first-order translation")
     p.add_argument("--formula", required=True)
     p.add_argument("--at", type=int, default=0, help="anchor time point (default 0)")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--raw", action="store_true", help="skip simplification")
-    group.add_argument("--simplified", action="store_true", help="simplify (default)")
+    p.add_argument("--raw", action="store_true", help="skip simplification")
     p.set_defaults(fn=cmd_translate)
 
     p = sub.add_parser("qht", help="evaluate a first-order sentence in an interpretation")
@@ -205,8 +208,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, fom.FOMParseError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError and JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:  # every stage, from parser to semantics, recurses on the tree

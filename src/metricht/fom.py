@@ -16,6 +16,7 @@ from itertools import combinations, count
 from typing import Iterable
 
 from . import syntax as mf
+from .parser import ATOM_RE, TokenCursor
 from .traces import TimedHTTrace
 
 
@@ -186,21 +187,14 @@ def _tr(phi: mf.Formula, x: Term, fresh) -> FOMFormula:
             else [lt(y, x), fneg(Exists(z, And(lt(y, z), lt(z, x))))]
         return Exists(y, conj(adjacent + _bounds(phi.interval, x, y, future)
                               + [_tr(phi.arg, y, fresh)]))
-    if isinstance(phi, mf.Until):
-        guard = [le(x, y)] + _bounds(phi.interval, x, y, True)
-        chain = Forall(z, Implies(And(le(x, z), lt(z, y)), _tr(phi.lhs, z, fresh)))
-        return Exists(y, conj(guard + [_tr(phi.rhs, y, fresh), chain]))
-    if isinstance(phi, mf.Release):
-        guard = [le(x, y)] + _bounds(phi.interval, x, y, True)
-        escape = Exists(z, And(And(le(x, z), lt(z, y)), _tr(phi.lhs, z, fresh)))
-        return Forall(y, Implies(conj(guard), Or(_tr(phi.rhs, y, fresh), escape)))
-    if isinstance(phi, mf.Since):
-        guard = [le(y, x)] + _bounds(phi.interval, x, y, False)
-        chain = Forall(z, Implies(And(lt(y, z), le(z, x)), _tr(phi.lhs, z, fresh)))
-        return Exists(y, conj(guard + [_tr(phi.rhs, y, fresh), chain]))
-    if isinstance(phi, mf.Trigger):
-        guard = [le(y, x)] + _bounds(phi.interval, x, y, False)
-        escape = Exists(z, And(And(lt(y, z), le(z, x)), _tr(phi.lhs, z, fresh)))
+    if isinstance(phi, mf.KERNEL_BINARY):
+        guard = [le(x, y) if future else le(y, x)] + _bounds(phi.interval, x, y, future)
+        between = And(le(x, z), lt(z, y)) if future else And(lt(y, z), le(z, x))
+        left = _tr(phi.lhs, z, fresh)  # before the rhs: fixes the fresh-variable numbering
+        if isinstance(phi, (mf.Until, mf.Since)):
+            chain = Forall(z, Implies(between, left))
+            return Exists(y, conj(guard + [_tr(phi.rhs, y, fresh), chain]))
+        escape = Exists(z, And(between, left))
         return Forall(y, Implies(conj(guard), Or(_tr(phi.rhs, y, fresh), escape)))
     raise TypeError(f"not a formula node: {phi!r}")
 
@@ -463,135 +457,72 @@ def _child(phi: FOMFormula, min_prec: int) -> str:
 
 
 # --------------------------------------------------------------------------
-# Parsing the text format back
+# Parsing the text format back, on the formula parser's tokens and cursor
 
-class FOMParseError(ValueError):
-    pass
-
-
-_FOM_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<hash>\#(?:true|false))
-      | (?P<diff><=\{(?:-?\d+|w)\})
-      | (?P<arrow>->)
-      | (?P<name>[A-Za-z][A-Za-z0-9_]*)
-      | (?P<num>\d+)
-      | (?P<punct>[()&|!?])
-    """,
-    re.VERBOSE,
-)
-
-
-def _fom_tokens(text: str) -> list[tuple[str, str]]:
-    out, pos = [], 0
-    while pos < len(text):
-        m = _FOM_TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FOMParseError(f"unexpected character {text[pos]!r} at offset {pos}")
-        if m.lastgroup != "ws":
-            out.append((m.lastgroup, m.group()))
-        pos = m.end()
-    out.append(("eof", ""))
-    return out
-
-
-class _FOMParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self, ahead=0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise FOMParseError(f"expected {kind}, found {tok[1]!r}")
-        return tok
-
+class _FOMParser(TokenCursor):
     def formula(self):
         lhs = self.disjunction()
-        if self.peek()[0] == "arrow":
+        if self.peek()[0] == "->":
             self.next()
             return Implies(lhs, self.formula())
         return lhs
 
     def disjunction(self):
         lhs = self.conjunction()
-        while self.peek()[1] == "|":
+        while self.peek()[0] == "|":
             self.next()
             lhs = Or(lhs, self.conjunction())
         return lhs
 
     def conjunction(self):
         lhs = self.unary()
-        while self.peek()[1] == "&":
+        while self.peek()[0] == "&":
             self.next()
             lhs = And(lhs, self.unary())
         return lhs
 
     def term(self) -> Term:
-        kind, text = self.next()
-        if kind == "num":
-            return Point(int(text))
-        if kind == "name":
-            return Var(text)
-        raise FOMParseError(f"expected a term, found {text!r}")
-
-    def close_paren(self):
         tok = self.next()
-        if tok[1] != ")":
-            raise FOMParseError(f"expected ')', found {tok[1]!r}")
+        if tok[0] == "num":
+            return Point(int(tok[1]))
+        if tok[0] == "name":
+            return Var(tok[1])
+        self.fail(f"expected a term, found {tok[1] or 'end of input'!r}", tok)
 
     def unary(self):
-        kind, text = self.peek()
-        if text in ("!", "?"):
+        kind, text, _ = self.peek()
+        if kind in ("!", "?"):
             self.next()
-            var = Var(self.expect("name")[1])
-            cls = Forall if text == "!" else Exists
-            return cls(var, self.unary())
-        if text == "(":
+            var = Var(self.expect("name", "a variable")[1])
+            return (Forall if kind == "!" else Exists)(var, self.unary())
+        if kind == "(":
             self.next()
             phi = self.formula()
-            self.close_paren()
+            self.expect(")")
             return phi
-        if kind == "hash":
+        if kind in ("#true", "#false"):
             self.next()
-            return TOP if text == "#true" else BOT
-        if kind == "name" and self.peek(1)[1] == "(":
+            return TOP if kind == "#true" else BOT
+        if kind == "name" and self.peek(1)[0] == "(":
             self.next()
             self.next()
             arg = self.term()
-            self.close_paren()
+            self.expect(")")
             return Pred(text, arg)
         first = self.term()
-        tok = self.next()
-        if tok[0] != "diff":
-            raise FOMParseError(f"expected a difference bound, found {tok[1]!r}")
-        raw = tok[1][3:-1]
-        delta = None if raw == "w" else int(raw)
-        return Diff(first, delta, self.term())
+        raw = self.expect("diff", "a difference bound")[1][3:-1]
+        return Diff(first, None if raw == "w" else int(raw), self.term())
 
 
 def parse_fom(text: str) -> FOMFormula:
-    parser = _FOMParser(_fom_tokens(text))
-    phi = parser.formula()
-    if parser.peek()[0] != "eof":
-        raise FOMParseError(f"unexpected trailing input {parser.peek()[1]!r}")
-    return phi
+    return _FOMParser(text).parse()
 
 
 # Interpretation JSON: {"domain": [0, 5, 12], "here": ["red(0)"],
 #                       "there": ["red(0)", "push(5)"]}
 # "here" may be omitted when it equals "there".
 
-_GROUND_ATOM_RE = re.compile(r"^([a-z][A-Za-z0-9_]*)\((\d+)\)$")
+_GROUND_ATOM_RE = re.compile(rf"({ATOM_RE.pattern})\((\d+)\)")
 
 
 def _ground_atoms(entries: list[str], key: str) -> frozenset[tuple[str, int]]:
@@ -599,7 +530,7 @@ def _ground_atoms(entries: list[str], key: str) -> frozenset[tuple[str, int]]:
         raise ValueError(f"{key!r} must be a list of ground atoms such as \"p(0)\"")
     out = set()
     for entry in entries:
-        m = _GROUND_ATOM_RE.match(entry.strip())
+        m = _GROUND_ATOM_RE.fullmatch(entry.strip())
         if m is None:
             raise ValueError(f"malformed ground atom {entry!r}")
         out.add((m.group(1), int(m.group(2))))

@@ -9,12 +9,16 @@ interval means [0..w).  Atoms are lowercase identifiers.
 
 Theories are line-oriented: ``%`` starts a comment, blank lines are skipped,
 and a formula ends at end-of-line unless brackets remain open.
+
+The first-order sentence grammar (fom.py) runs on the same tokenizer and
+token cursor, so both languages report errors as ParseError with a line
+and column; each grammar rejects the tokens only the other one uses.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NoReturn
 
 from .syntax import (
     And, Atom, BOT, FINAL, Formula, INITIAL, Implies, IntervalError, Interval,
@@ -24,125 +28,130 @@ from .syntax import (
 )
 
 
+Token = tuple[str, str, int]  # (kind, text, offset); kind is the text itself for literals
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+    @classmethod
+    def at(cls, message: str, text: str, offset: int, line_offset: int = 1) -> ParseError:
+        """The error at character `offset` of `text`, whose first line is `line_offset`."""
+        column = offset - text.rfind("\n", 0, offset)
+        return cls(message, line_offset + text.count("\n", 0, offset), column)
 
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
-      | (?P<hash>\#(?:true|false|init|final))
       | (?P<name>[A-Za-z][A-Za-z0-9_]*)
       | (?P<num>\d+)
-      | (?P<dots>\.\.)
-      | (?P<op><->|->|<=|>=)
-      | (?P<punct>[()\[\]~&|])
+      | (?P<diff><=\{(?:-?\d+|w)\})
+      | (?P<lit>\#(?:true|false|init|final)|\.\.|<->|->|<=|>=|[()\[\]~&|!?])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
-_ATOM_RE = re.compile(r"^[a-z][A-Za-z0-9_]*$")
+ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")  # atom names, matched in full
 _UNARY_OPS = {"X": Next, "wX": weak_next, "Y": Prev, "wY": weak_prev,
               "G": always, "F": eventually, "H": historically, "O": once}
 _CONSTANTS = {"#true": TRUE, "#false": BOT, "#init": INITIAL, "#final": FINAL}
 _BINARY_OPS = {"U": Until, "R": Release, "S": Since, "T": Trigger}
 
 
-def _tokenize(text: str, line_offset: int = 1) -> list[_Token]:
+def _tokenize(text: str, line_offset: int = 1) -> list[Token]:
     tokens = []
-    line, line_start = line_offset, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        kind = m.lastgroup
-        value = m.group()
+    for m in _TOKEN_RE.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ParseError.at(f"unexpected character {value!r}", text, m.start(), line_offset)
         if kind != "ws":
-            label = value if kind in ("hash", "name") else kind if kind in ("num", "dots") else value
-            tokens.append(_Token(label, value, line, pos - line_start + 1))
-        line += value.count("\n")
-        if "\n" in value:
-            line_start = pos + value.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("<eof>", "", line, pos - line_start + 1))
+            tokens.append((value if kind == "lit" else kind, value, m.start()))
+    tokens.append(("<eof>", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+class TokenCursor:
+    """A position in the tokens of one text.
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    The formula and the first-order sentence grammars subclass it; each
+    defines its start rule as ``formula``.
+    """
 
-    def next(self) -> _Token:
+    def __init__(self, text: str, line_offset: int = 1):
+        self.text, self.line_offset = text, line_offset
+        self.tokens = _tokenize(text, line_offset)
+        self.pos, self.last = 0, len(self.tokens) - 1
+
+    def peek(self, ahead: int = 0) -> Token:
+        return self.tokens[min(self.pos + ahead, self.last)]
+
+    def next(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "<eof>":
+        if self.pos < self.last:
             self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
+    def fail(self, message: str, tok: Token | None = None) -> NoReturn:
+        """Raise a ParseError located at `tok`, by default the next token."""
+        offset = (tok or self.peek())[2]
+        raise ParseError.at(message, self.text, offset, self.line_offset)
+
+    def expect(self, kind: str, what: str = "") -> Token:
         tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.column)
+        if tok[0] != kind:
+            self.fail(f"expected {what or repr(kind)}, found {tok[1] or 'end of input'!r}", tok)
         return tok
 
-    def fail(self, message: str) -> None:
+    def parse(self):
+        """Run the start rule over the whole text."""
+        result = self.formula()
         tok = self.peek()
-        raise ParseError(message, tok.line, tok.column)
+        if tok[0] != "<eof>":
+            self.fail(f"unexpected trailing input {tok[1]!r}", tok)
+        return result
 
+
+class _Parser(TokenCursor):
     # -- intervals ---------------------------------------------------------
 
     def interval_ahead(self) -> bool:
-        tok = self.peek()
-        if tok.kind in ("[", "<=", ">="):
+        kind = self.peek()[0]
+        if kind in ("[", "<=", ">="):
             return True
-        if tok.kind == "(":
-            return self.peek(1).kind == "num" and self.peek(2).kind == "dots"
-        return False
+        return kind == "(" and self.peek(1)[0] == "num" and self.peek(2)[0] == ".."
 
     def parse_interval(self) -> Interval:
         tok = self.next()
+        kind = tok[0]
         try:
-            if tok.kind in ("<=", ">="):
-                num = int(self.expect("num").text)
-                return Interval(0, num + 1) if tok.kind == "<=" else Interval(num, None)
-            lower_open = tok.kind == "("
-            lo = int(self.expect("num").text)
-            if not lower_open and self.peek().kind == "]":
+            if kind in ("<=", ">="):
+                num = int(self.expect("num")[1])
+                return Interval(0, num + 1) if kind == "<=" else Interval(num, None)
+            lower_open = kind == "("
+            lo = int(self.expect("num")[1])
+            if not lower_open and self.peek()[0] == "]":
                 self.next()
                 return Interval(lo, lo + 1)
-            self.expect("dots")
+            self.expect("..")
             nxt = self.next()
-            if nxt.kind == "num":
-                upper, closer = int(nxt.text), self.next()
-            elif nxt.kind == "w":
+            if nxt[0] == "num":
+                upper, closer = int(nxt[1]), self.next()
+            elif nxt[1] == "w":
                 upper, closer = None, self.next()
-            elif nxt.kind in (")", "]"):
+            elif nxt[0] in (")", "]"):
                 upper, closer = None, nxt
             else:
-                raise ParseError(f"expected an upper bound, found {nxt.text!r}",
-                                 nxt.line, nxt.column)
-            if closer.kind not in (")", "]"):
-                raise ParseError(f"expected ')' or ']', found {closer.text!r}",
-                                 closer.line, closer.column)
+                self.fail(f"expected an upper bound, found {nxt[1]!r}", nxt)
+            if closer[0] not in (")", "]"):
+                self.fail(f"expected ')' or ']', found {closer[1]!r}", closer)
             return interval_from_bounds(lo, upper, lower_open=lower_open,
-                                        upper_closed=closer.kind == "]")
+                                        upper_closed=closer[0] == "]")
         except IntervalError as exc:
-            raise ParseError(str(exc), tok.line, tok.column) from exc
+            self.fail(str(exc), tok)
 
     def optional_interval(self) -> Interval:
         return self.parse_interval() if self.interval_ahead() else Interval(0, None)
@@ -151,7 +160,7 @@ class _Parser:
 
     def formula(self) -> Formula:
         lhs = self.implication()
-        while self.peek().kind == "<->":
+        while self.peek()[0] == "<->":
             self.next()
             rhs = self.implication()
             lhs = And(Implies(lhs, rhs), Implies(rhs, lhs))
@@ -159,69 +168,59 @@ class _Parser:
 
     def implication(self) -> Formula:
         lhs = self.disjunction()
-        if self.peek().kind == "->":
+        if self.peek()[0] == "->":
             self.next()
             return Implies(lhs, self.implication())
         return lhs
 
     def disjunction(self) -> Formula:
         lhs = self.conjunction()
-        while self.peek().kind == "|":
+        while self.peek()[0] == "|":
             self.next()
             lhs = Or(lhs, self.conjunction())
         return lhs
 
     def conjunction(self) -> Formula:
         lhs = self.binary_temporal()
-        while self.peek().kind == "&":
+        while self.peek()[0] == "&":
             self.next()
             lhs = And(lhs, self.binary_temporal())
         return lhs
 
     def binary_temporal(self) -> Formula:
         lhs = self.unary()
-        tok = self.peek()
-        if tok.kind in _BINARY_OPS:
-            self.next()
-            interval = self.optional_interval()
-            return _BINARY_OPS[tok.kind](interval, lhs, self.binary_temporal())
-        return lhs
+        op = _BINARY_OPS.get(self.peek()[1])
+        if op is None:
+            return lhs
+        self.next()
+        interval = self.optional_interval()
+        return op(interval, lhs, self.binary_temporal())
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.next()
+        tok = self.next()
+        kind, text, _ = tok
+        if kind == "~":
             if self.interval_ahead():
                 self.fail("negation takes no interval")
             return neg(self.unary())
-        if tok.kind in _UNARY_OPS:
-            self.next()
+        if text in _UNARY_OPS:
             interval = self.optional_interval()
-            return _UNARY_OPS[tok.kind](interval, self.unary())
-        if tok.kind in _CONSTANTS:
-            self.next()
-            return _CONSTANTS[tok.kind]
-        if tok.kind == "(":
-            self.next()
+            return _UNARY_OPS[text](interval, self.unary())
+        if kind in _CONSTANTS:
+            return _CONSTANTS[kind]
+        if kind == "(":
             phi = self.formula()
             self.expect(")")
             return phi
-        if tok.kind == tok.text and _ATOM_RE.match(tok.text):
-            self.next()
-            return Atom(tok.text)
-        self.fail("unexpected end of input" if tok.kind == "<eof>"
-                  else f"unknown operator name {tok.text!r}")
-        raise AssertionError  # unreachable
+        if kind == "name" and ATOM_RE.fullmatch(text):
+            return Atom(text)
+        self.fail("unexpected end of input" if kind == "<eof>"
+                  else f"unknown operator name {text!r}" if kind == "name"
+                  else f"unexpected {text!r}", tok)
 
 
 def parse_formula(text: str, line_offset: int = 1) -> Formula:
-    parser = _Parser(_tokenize(text, line_offset))
-    phi = parser.formula()
-    trailing = parser.peek()
-    if trailing.kind != "<eof>":
-        raise ParseError(f"unexpected trailing input {trailing.text!r}",
-                         trailing.line, trailing.column)
-    return phi
+    return _Parser(text, line_offset).parse()
 
 
 def _logical_lines(text: str):

@@ -94,30 +94,17 @@ def range_split(phi: Formula, i: int) -> Formula:
 
 def _expand(cls, iv: Interval, lhs: Formula, rhs: Formula) -> Formula:
     until_like = cls in (Until, Since)
-    future = cls in (Until, Release)
-    if until_like:
-        def step(i, arg):
-            return Next(Interval(i, i + 1), arg) if future else Prev(Interval(i, i + 1), arg)
-    else:
-        def step(i, arg):
-            return weak_next(Interval(i, i + 1), arg) if future \
-                else weak_prev(Interval(i, i + 1), arg)
     m, n = iv.lower, iv.upper
     if m >= n:
         return BOT if until_like else TRUE
     if m == 0 and n == 1:
         return rhs
     combine, wrap = (Or, And) if until_like else (And, Or)
-    if m == 0:
-        parts = [step(i, _expand(cls, Interval(0, n - i), lhs, rhs)) for i in range(1, n)]
-        return combine(rhs, wrap(lhs, reduce(combine, parts)))
-    if n == m + 1:
-        parts = [step(i, _expand(cls, Interval(m - i, m - i + 1), lhs, rhs))
-                 for i in range(1, m + 1)]
-        return wrap(lhs, reduce(combine, parts))
-    parts = [step(i, _expand(cls, Interval(m - i, n - i), lhs, rhs)) for i in range(1, m + 1)]
-    parts += [step(i, _expand(cls, Interval(0, n - i), lhs, rhs)) for i in range(m + 1, n)]
-    return wrap(lhs, reduce(combine, parts))
+    step = {Until: Next, Since: Prev, Release: weak_next, Trigger: weak_prev}[cls]
+    parts = [step(Interval(i, i + 1), _expand(cls, Interval(max(m - i, 0), n - i), lhs, rhs))
+             for i in range(1, n)]
+    body = wrap(lhs, reduce(combine, parts))
+    return combine(rhs, body) if m == 0 else body
 
 
 def unfold_next(phi: Formula) -> Formula:

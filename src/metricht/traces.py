@@ -7,23 +7,20 @@ all derived traces (total part, reversal, refinements) are fresh objects.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
 
+from .parser import ATOM_RE
 from .syntax import interval_endpoints
-
-
-_ATOM_RE = re.compile(r"^[a-z][A-Za-z0-9_]*$")
 
 
 def make_alphabet(names: Iterable[str]) -> tuple[str, ...]:
     """Deduplicate, validate and sort atom names."""
     out = sorted(set(names))
     for name in out:
-        if not _ATOM_RE.match(name):
+        if not ATOM_RE.fullmatch(name):
             raise ValueError(f"invalid atom name {name!r}")
     return tuple(out)
 

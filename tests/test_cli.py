@@ -160,6 +160,7 @@ def test_translate(run):
     assert code == 0 and "<={-1}" in raw
     code, _ = run("translate", "--formula", "F[0..0) p")
     assert code == 1
+    assert run("translate", "--formula", "p", "--simplified")[0] == 2  # simplifying is the default
 
 
 def test_qht(run, tmp_path):
@@ -240,7 +241,7 @@ def test_malformed_trace_json_exits_2(capsys, traffic, tmp_path, data, located):
     assert main(["check", traffic, str(bad)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
     if located:
         assert located in err
 
@@ -263,7 +264,40 @@ def test_malformed_interpretation_json_exits_2(capsys, tmp_path, data):
     assert main(["qht", "--sentence", str(sentence), "--interp", str(interp)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {interp}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text,where", [
+    ("!x (p(x) & )", "line 1, column 12: expected a term, found ')'"),
+    ("?y (q(y) &\n   <={2} y)", "line 2, column 4: expected a term, found '<={2}'"),
+    ("p(0", "line 1, column 4: expected ')', found 'end of input'"),
+    ("!x p(x) |\n  @", "line 2, column 3: unexpected character '@'"),
+], ids=["missing-operand", "second-line", "unclosed", "bad-character"])
+def test_malformed_sentence_is_located(capsys, tmp_path, text, where):
+    sentence = tmp_path / "s.fom"
+    sentence.write_text(text)
+    interp = tmp_path / "i.json"
+    interp.write_text(json.dumps({"domain": [0]}))
+    assert main(["qht", "--sentence", str(sentence), "--interp", str(interp)]) == 2
+    assert capsys.readouterr().err == f"error: {sentence}: {where}\n"
+
+
+@pytest.mark.parametrize("text,where", [
+    ("p &\n& q\n", "line 1, column 4: unexpected end of input"),
+    ("% rules\nG (p ->\n  q\n", "line 3, column 4: expected ')', found 'end of input'"),
+    ("q\nQ p\n", "line 2, column 1: unknown operator name 'Q'"),
+    ("p U[2..w] q\n", "line 1, column 4: a closed upper bound requires a finite bound, not w"),
+], ids=["dangling-and", "unclosed", "unknown-operator", "interval"])
+@pytest.mark.parametrize("command", ["check", "models", "equiv-left", "equiv-right"])
+def test_malformed_theory_is_located(capsys, tmp_path, traffic, member, text, where, command):
+    bad = tmp_path / "bad.lp"
+    bad.write_text(text)
+    argv = {"check": ["check", str(bad), member],
+            "models": ["models", str(bad), "--max-len", "1"],
+            "equiv-left": ["equiv", str(bad), traffic, "--max-len", "1"],
+            "equiv-right": ["equiv", traffic, str(bad), "--max-len", "1"]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {where}\n"
 
 
 @pytest.mark.parametrize("text", [

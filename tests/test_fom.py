@@ -12,7 +12,7 @@ from metricht.fom import (
     interpretation_from_json, interpretation_to_json, is_qel_model, parse_fom,
     qht_sat, simplify_fom, translate,
 )
-from metricht.parser import parse_formula, parse_theory
+from metricht.parser import ParseError, parse_formula, parse_theory
 from metricht.semantics import mht_sat, strictness_axiom
 from metricht.equilibrium import is_equilibrium, enumerate_equilibrium
 from metricht.traces import EnumerationBounds, make_trace, total_part, total_trace
@@ -214,12 +214,21 @@ def test_fom_roundtrip_on_translations():
 
 
 def test_fom_parse_errors():
-    with pytest.raises(fom.FOMParseError):
+    with pytest.raises(ParseError):
         parse_fom("p(0")
-    with pytest.raises(fom.FOMParseError):
+    with pytest.raises(ParseError):
         parse_fom("x <= y")
-    with pytest.raises(fom.FOMParseError):
+    with pytest.raises(ParseError):
         parse_fom("p(0)) ")
+
+
+def test_fom_parse_errors_are_located():
+    with pytest.raises(ParseError, match=r"expected a term, found '<=\{2\}'") as err:
+        parse_fom("?y (q(y) &\n   <={2} y)")
+    assert (err.value.line, err.value.column) == (2, 4)
+    with pytest.raises(ParseError, match="unexpected character '@'") as err:
+        parse_fom("!x p(x) |\n  @")
+    assert (err.value.line, err.value.column) == (2, 3)
 
 
 def test_interpretation_json_roundtrip():
