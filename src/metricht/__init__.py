@@ -17,8 +17,7 @@ from .syntax import (
 from .parser import ParseError, parse_formula, parse_theory
 from .traces import (
     EnumerationBounds, TimedHTTrace, enumerate_total_traces, make_alphabet,
-    make_trace, refinements, reverse_trace, total_part, total_trace,
-    trace_from_json, trace_to_json,
+    refinements, reverse_trace, total_trace, trace_from_json, trace_to_json,
 )
 from .semantics import em_theory, is_model, mht_sat, strictness_axiom
 from .equilibrium import (

@@ -18,36 +18,34 @@ from .parser import parse_formula, parse_theory
 from .rewrite import PASSES, range_split
 from .semantics import is_model, mht_sat  # noqa: F401  (bench/tracer.py wraps is_model here)
 from .syntax import Theory, format_formula
-from .traces import EnumerationBounds, make_alphabet, trace_from_json, trace_to_json
+from .traces import EnumerationBounds, trace_from_json, trace_to_json
 from .traces import enumerate_total_traces  # noqa: F401  (bench/tracer.py wraps it here)
 
 
-def _load(path: str, parse):
-    """`parse` applied to the file's text; errors about the contents name the file."""
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+def _naming(source: str, fn, arg):
+    """fn(arg); a ValueError it raises names `source` first."""
     try:
-        return parse(text)
+        return fn(arg)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(f"{source}: {exc}") from exc
+
+
+def _load(path: str, parse):
+    with open(path, encoding="utf-8") as handle:
+        return _naming(path, parse, handle.read())
 
 
 def _load_theory(path: str) -> Theory:
     return _load(path, lambda text: parse_theory(text, name=path))
 
 
-def _load_trace(path: str):
-    return _load(path, lambda text: trace_from_json(json.loads(text)))
-
-
 def _bounds(args, theories) -> EnumerationBounds:
     atoms = set()
     for theory in theories:
         atoms.update(theory.atoms())
-    if args.alphabet:
-        atoms.update(a.strip() for a in args.alphabet.split(",") if a.strip())
+    atoms.update(a.strip() for a in args.alphabet.split(",") if a.strip())
     max_time = args.max_time if args.max_time is not None else max(args.max_len - 1, 0)
-    return EnumerationBounds(make_alphabet(atoms), args.max_len, max_time,
+    return EnumerationBounds(atoms, args.max_len, max_time,
                              strict_only=not args.non_strict,
                              exact_len=getattr(args, "exact_len", False))
 
@@ -67,7 +65,7 @@ def _add_bounds_flags(sub, with_exact=False):
 
 def cmd_check(args) -> int:
     theory = _load_theory(args.theory)
-    trace, _ = _load_trace(args.trace)
+    trace, _ = _load(args.trace, lambda text: trace_from_json(json.loads(text)))
     if not 0 <= args.at < trace.length:
         raise ValueError(f"state index {args.at} out of range")
     failing = None
@@ -103,17 +101,19 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_rewrite(args) -> int:
-    phi = parse_formula(args.formula)
-    name = getattr(args, "pass_name")
+    phi = _naming("--formula", parse_formula, args.formula)
+    name = args.pass_name
+    split = name.startswith("split:")
+    if split:
+        try:
+            point = int(name[len("split:"):])
+        except ValueError:
+            raise ValueError(f"--pass {name}: the split point must be an integer") from None
+    elif name not in PASSES:
+        raise ValueError(f"--pass: unknown pass {name!r}; choose from "
+                         f"{', '.join(sorted(PASSES))}, split:<i>")
     try:
-        if name.startswith("split:"):
-            result = range_split(phi, int(name.split(":", 1)[1]))
-        elif name in PASSES:
-            result = PASSES[name](phi)
-        else:
-            print(f"unknown pass {name!r}; choose from "
-                  f"{', '.join(sorted(PASSES))}, split:<i>", file=sys.stderr)
-            return 2
+        result = range_split(phi, point) if split else PASSES[name](phi)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -122,7 +122,7 @@ def cmd_rewrite(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    phi = parse_formula(args.formula)
+    phi = _naming("--formula", parse_formula, args.formula)
     try:
         sentence = fom.translate(phi, args.at)
     except ValueError as exc:
@@ -136,8 +136,17 @@ def cmd_translate(args) -> int:
 
 def cmd_qht(args) -> int:
     sentence = _load(args.sentence, fom.parse_fom)
+    free = sorted(fom.free_names(sentence))
+    if free:  # checked once here, not on each of qht_sat's many calls
+        raise ValueError(f"{args.sentence}: free variable {', '.join(free)}: "
+                         "qht needs a closed sentence")
     interp = _load(args.interp, lambda text: fom.interpretation_from_json(json.loads(text)))
-    if args.equilibrium:
+    # evaluation refuses a sentence time point outside the domain and too many there-atoms
+    return _naming(args.interp, lambda interp: _qht(interp, sentence, args.equilibrium), interp)
+
+
+def _qht(interp: fom.QHTInterpretation, sentence: fom.FOMFormula, equilibrium: bool) -> int:
+    if equilibrium:
         if not fom.qht_sat(fom.QHTInterpretation(interp.domain, interp.there, interp.there),
                            sentence):
             print("NON-EQ (the there-world is not a model)")

@@ -273,21 +273,21 @@ def _simp(phi: FOMFormula) -> FOMFormula:
 _NAME_CYCLE = ("x", "y", "z")
 
 
-def _free_names(phi: FOMFormula, bound: frozenset[str] = frozenset()) -> set[str]:
+def free_names(phi: FOMFormula, bound: frozenset[str] = frozenset()) -> set[str]:
     if isinstance(phi, Pred):
         return {phi.arg.name} - bound if isinstance(phi.arg, Var) else set()
     if isinstance(phi, Diff):
         return {t.name for t in (phi.left, phi.right) if isinstance(t, Var)} - bound
     if isinstance(phi, (And, Or, Implies)):
-        return _free_names(phi.lhs, bound) | _free_names(phi.rhs, bound)
+        return free_names(phi.lhs, bound) | free_names(phi.rhs, bound)
     if isinstance(phi, (Forall, Exists)):
-        return _free_names(phi.body, bound | {phi.var.name})
+        return free_names(phi.body, bound | {phi.var.name})
     return set()
 
 
 def _rename(phi: FOMFormula) -> FOMFormula:
     counter = count()
-    taken = _free_names(phi)
+    taken = free_names(phi)
 
     def fresh() -> Var:
         while True:
@@ -352,10 +352,11 @@ def qht_sat(interp: QHTInterpretation, phi: FOMFormula) -> bool:
 
 
 def _term(interp: QHTInterpretation, t: Term, env: dict[str, int]) -> int:
-    value = env[t.name] if isinstance(t, Var) else t.value
-    if value not in interp.domain:
-        raise ValueError(f"time point {value} lies outside the domain")
-    return value
+    if isinstance(t, Var):
+        return env[t.name]  # bound by a quantifier over the domain
+    if t.value not in interp.domain:
+        raise ValueError(f"time point {t.value} lies outside the domain")
+    return t.value
 
 
 def _ev(I: QHTInterpretation, phi: FOMFormula, env: dict[str, int], here: bool) -> bool:
@@ -385,15 +386,18 @@ def _ev(I: QHTInterpretation, phi: FOMFormula, env: dict[str, int], here: bool) 
     raise TypeError(f"not a FOM node: {phi!r}")
 
 
+MAX_SUBSET_ATOMS = 20
+
+
 def first_smaller_model(domain: Iterable[int], there: Iterable[tuple[str, int]],
-                        phi: FOMFormula, max_atoms: int = 20) -> frozenset | None:
+                        phi: FOMFormula) -> frozenset | None:
     """The first proper subset of `there` still satisfying phi, if any.
 
     Subsets are scanned by ascending size, lexicographically within a size.
     """
     atoms = sorted(set(there))
-    if len(atoms) > max_atoms:
-        raise ValueError(f"subset search capped at {max_atoms} atoms, got {len(atoms)}")
+    if len(atoms) > MAX_SUBSET_ATOMS:
+        raise ValueError(f"subset search capped at {MAX_SUBSET_ATOMS} atoms, got {len(atoms)}")
     dom = tuple(domain)
     full = frozenset(atoms)
     for size in range(len(atoms)):
@@ -402,16 +406,6 @@ def first_smaller_model(domain: Iterable[int], there: Iterable[tuple[str, int]],
             if qht_sat(candidate, phi):
                 return frozenset(combo)
     return None
-
-
-def is_qel_model(domain: Iterable[int], there: Iterable[tuple[str, int]],
-                 phi: FOMFormula, max_atoms: int = 20) -> bool:
-    """Is <D,T,T> a model of phi with no strictly smaller here-world model?"""
-    dom, full = tuple(domain), frozenset(there)
-    total = QHTInterpretation(dom, full, full)
-    if not qht_sat(total, phi):
-        return False
-    return first_smaller_model(dom, full, phi, max_atoms) is None
 
 
 # --------------------------------------------------------------------------

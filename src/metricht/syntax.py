@@ -42,13 +42,6 @@ class Interval:
     def is_singleton(self) -> bool:
         return self.upper is not None and self.upper == self.lower + 1
 
-    def subset_of(self, other: "Interval") -> bool:
-        if self.is_empty():
-            return True
-        if other.upper is None:
-            return self.lower >= other.lower
-        return self.upper is not None and self.lower >= other.lower and self.upper <= other.upper
-
     def __str__(self) -> str:
         if self.upper is None:
             return f"[{self.lower}..w)"

@@ -2,7 +2,7 @@
 
 A trace pairs a sequence of state pairs (H_i, T_i) with H_i subseteq T_i and
 a non-decreasing time stamp per state starting at 0.  Traces are immutable;
-all derived traces (total part, reversal, refinements) are fresh objects.
+all derived traces (reversal, refinements) are fresh objects.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
+from operator import le
 from typing import Iterable, Iterator
 
 from .parser import ATOM_RE
@@ -27,26 +28,28 @@ def make_alphabet(names: Iterable[str]) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class TimedHTTrace:
+    """Tuples of frozensets and ints, checked but not converted (see total_trace)."""
+
     here: tuple[frozenset[str], ...]
     there: tuple[frozenset[str], ...]
     times: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "here", tuple(frozenset(s) for s in self.here))
-        object.__setattr__(self, "there", tuple(frozenset(s) for s in self.there))
-        object.__setattr__(self, "times", tuple(int(t) for t in self.times))
-        if not (len(self.here) == len(self.there) == len(self.times)):
+        here, there, times = self.here, self.there, self.times
+        if not all(isinstance(field, tuple) for field in (here, there, times)):
+            raise ValueError("here, there and times must be tuples")
+        if not len(here) == len(there) == len(times):
             raise ValueError("state and time sequences must have equal length")
-        if len(self.times) == 0:
+        if not times:
             raise ValueError("traces must have at least one state")
-        if self.times[0] != 0:
-            raise ValueError("the first time stamp must be 0")
-        for h, t in zip(self.here, self.there):
-            if not h <= t:
-                raise ValueError("every here-state must be included in its there-state")
-        for a, b in zip(self.times, self.times[1:]):
-            if b < a:
-                raise ValueError("time stamps must be non-decreasing")
+        if times[0] != 0:
+            raise ValueError("state 0: the first time stamp must be 0")
+        if not all(map(le, times, times[1:])):
+            i = next(i for i in range(1, len(times)) if times[i] < times[i - 1])
+            raise ValueError(f"state {i}: time stamps must be non-decreasing")
+        if here is not there and not all(map(frozenset.issubset, here, there)):
+            i = next(i for i, (h, t) in enumerate(zip(here, there)) if not h <= t)
+            raise ValueError(f"state {i}: 'here' must be included in 'there'")
 
     @property
     def length(self) -> int:
@@ -58,36 +61,19 @@ class TimedHTTrace:
     def is_strict(self) -> bool:
         return all(b > a for a, b in zip(self.times, self.times[1:]))
 
-    def gaps(self) -> tuple[int, ...]:
-        return tuple(b - a for a, b in zip(self.times, self.times[1:]))
-
     def atoms(self) -> tuple[str, ...]:
         return make_alphabet(a for state in self.there for a in state)
 
 
-def make_trace(states: Iterable[tuple[Iterable[str], Iterable[str]]],
-               times: Iterable[int]) -> TimedHTTrace:
-    """Build a validated trace from (here, there) pairs and time stamps."""
-    pairs = [(frozenset(h), frozenset(t)) for h, t in states]
-    return TimedHTTrace(tuple(h for h, _ in pairs), tuple(t for _, t in pairs), tuple(times))
-
-
 def total_trace(states: Iterable[Iterable[str]], times: Iterable[int]) -> TimedHTTrace:
+    """The total trace over these states, converted to frozensets and ints."""
     sets = tuple(frozenset(s) for s in states)
-    return TimedHTTrace(sets, sets, tuple(times))
-
-
-def total_part(trace: TimedHTTrace) -> TimedHTTrace:
-    """Collapse the trace onto its there-component; identity on total traces."""
-    if trace.is_total():
-        return trace
-    return TimedHTTrace(trace.there, trace.there, trace.times)
+    return TimedHTTrace(sets, sets, tuple(int(t) for t in times))
 
 
 def reverse_trace(trace: TimedHTTrace) -> TimedHTTrace:
     """Flip the state order and mirror the time stamps around the endpoint."""
-    last = trace.times[-1]
-    times = tuple(last - trace.times[len(trace.times) - 1 - i] for i in range(len(trace.times)))
+    times = tuple(trace.times[-1] - t for t in trace.times[::-1])
     return TimedHTTrace(trace.here[::-1], trace.there[::-1], times)
 
 
@@ -226,16 +212,10 @@ def trace_from_json(data: dict) -> tuple[TimedHTTrace, tuple[str, ...]]:
         time = entry["time"]
         if type(time) is not int or time < 0:
             raise ValueError(f"state {index}: times must be non-negative integers")
-        if not times and time != 0:
-            raise ValueError("state 0: the first time stamp must be 0")
-        if times and time < times[-1]:
-            raise ValueError(f"state {index}: time stamps must be non-decreasing")
         there = _atom_set(entry["there"])
         here = _atom_set(entry["here"]) if "here" in entry else there
         if there is None or here is None:
             raise ValueError(f"state {index}: 'here' and 'there' must be lists of atom names")
-        if not here <= there:
-            raise ValueError(f"state {index}: 'here' must be a subset of 'there'")
         heres.append(here)
         theres.append(there)
         times.append(time)

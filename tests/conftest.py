@@ -11,9 +11,45 @@ from metricht.syntax import (
     Trigger, TRUE, Until, always, eventually, historically, iff, initial,
     final, neg, once, weak_next, weak_prev,
 )
+from metricht import fom
 from metricht.traces import TimedHTTrace
 
 ATOMS = ("p", "q")
+
+
+# ------------------------------------------------------------------ helpers
+
+def make_trace(states, times) -> TimedHTTrace:
+    """A trace from (here, there) pairs of any iterables and any time sequence."""
+    pairs = [(frozenset(h), frozenset(t)) for h, t in states]
+    return TimedHTTrace(tuple(h for h, _ in pairs), tuple(t for _, t in pairs), tuple(times))
+
+
+def total_part(trace: TimedHTTrace) -> TimedHTTrace:
+    """The trace collapsed onto its there-component; identity on total traces."""
+    if trace.is_total():
+        return trace
+    return TimedHTTrace(trace.there, trace.there, trace.times)
+
+
+def gaps(trace: TimedHTTrace) -> tuple[int, ...]:
+    return tuple(b - a for a, b in zip(trace.times, trace.times[1:]))
+
+
+def interval_subset(small: Interval, big: Interval) -> bool:
+    if small.is_empty():
+        return True
+    if big.upper is None:
+        return small.lower >= big.lower
+    return small.upper is not None and small.lower >= big.lower and small.upper <= big.upper
+
+
+def is_qel_model(domain, there, phi) -> bool:
+    """Is <D,T,T> a model of phi with no strictly smaller here-world model?"""
+    dom, full = tuple(domain), frozenset(there)
+    if not fom.qht_sat(fom.QHTInterpretation(dom, full, full), phi):
+        return False
+    return fom.first_smaller_model(dom, full, phi) is None
 
 
 def gen_interval(rng: random.Random, *, max_lo: int = 3, max_width: int = 4,

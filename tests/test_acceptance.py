@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import oracle
-from conftest import gen_formula, gen_interval, gen_trace
+from conftest import gen_formula, gen_interval, gen_trace, total_part
 from metricht.cli import main as cli_main
 from metricht.equilibrium import enumerate_equilibrium
 from metricht.fom import (
@@ -25,7 +25,7 @@ from metricht.syntax import (
     format_formula, neg, weak_next, weak_prev,
 )
 from metricht.traces import (
-    EnumerationBounds, TimedHTTrace, reverse_trace, total_part,
+    EnumerationBounds, TimedHTTrace, reverse_trace,
 )
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -149,6 +149,27 @@ def test_rewrite_errors(run):
     assert code == 2
 
 
+def test_rewrite_split_point_must_be_an_integer(capsys):
+    assert main(["rewrite", "--formula", "p U[2..8) q", "--pass", "split:abc"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --pass split:abc: the split point must be an integer\n"
+    # a point outside the interval fails the pass's precondition, not its usage
+    assert main(["rewrite", "--formula", "p U[2..8) q", "--pass", "split:9"]) == 1
+    assert capsys.readouterr().err == "error: split point 9 lies outside [2..8)\n"
+
+
+@pytest.mark.parametrize("text,where", [
+    ("p &", "line 1, column 4: unexpected end of input"),
+    ("G (p", "line 1, column 5: expected ')', found 'end of input'"),
+    ("p @ q", "line 1, column 3: unexpected character '@'"),
+], ids=["dangling-and", "unclosed", "bad-character"])
+@pytest.mark.parametrize("command", [["rewrite", "--pass", "swap"], ["translate"]],
+                         ids=["rewrite", "translate"])
+def test_formula_option_errors_are_named(capsys, command, text, where):
+    assert main([*command, "--formula", text]) == 2
+    assert capsys.readouterr().err == f"error: --formula: {where}\n"
+
+
 def test_translate(run):
     code, out = run("translate", "--formula",
                     "G (push -> F[1..15) G[0..30] green)", "--at", "0")
@@ -183,6 +204,35 @@ def test_qht(run, tmp_path):
     ht.write_text(json.dumps({"domain": [0], "here": [], "there": ["p(0)"]}))
     assert run("qht", "--sentence", str(sentence), "--interp", str(ht)) == \
         (1, "UNSAT\n")
+
+
+@pytest.mark.parametrize("text,names", [
+    ("p(x)", "x"),
+    ("!x (p(x) -> q(y)) & ?x x <={2} z", "y, z"),
+], ids=["atom", "under-quantifier"])
+@pytest.mark.parametrize("flags", [[], ["--equilibrium"]], ids=["sat", "equilibrium"])
+def test_qht_free_variable_exits_2(capsys, tmp_path, text, names, flags):
+    sentence = tmp_path / "free.fom"
+    sentence.write_text(text)
+    interp = tmp_path / "i.json"
+    interp.write_text(json.dumps({"domain": [0, 1], "there": ["p(0)"]}))
+    assert main(["qht", "--sentence", str(sentence), "--interp", str(interp), *flags]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {sentence}: free variable {names}: qht needs a closed sentence\n"
+
+
+@pytest.mark.parametrize("text,interp,message", [
+    ("p(7)", {"domain": [0]}, "time point 7 lies outside the domain"),
+    ("#true", {"domain": [0], "there": [f"a{i}(0)" for i in range(21)]},
+     "subset search capped at 20 atoms, got 21"),
+], ids=["point-outside-domain", "subset-cap"])
+def test_qht_evaluation_errors_name_the_interpretation(capsys, tmp_path, text, interp, message):
+    sentence = tmp_path / "s.fom"
+    sentence.write_text(text)
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps(interp))
+    assert main(["qht", "--sentence", str(sentence), "--interp", str(path), "--equilibrium"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_models_non_strict(run, tmp_path):

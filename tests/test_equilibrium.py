@@ -4,7 +4,7 @@ from itertools import chain
 
 import pytest
 
-from conftest import gen_formula
+from conftest import gen_formula, make_trace
 from metricht.equilibrium import (
     EquivVerdict, bounded_equiv, enumerate_equilibrium, enumerate_models, is_equilibrium,
 )
@@ -12,8 +12,7 @@ from metricht.parser import parse_theory
 from metricht.semantics import is_model, mht_sat, strictness_axiom
 from metricht.syntax import Theory
 from metricht.traces import (
-    EnumerationBounds, enumerate_total_traces, make_trace, refinements,
-    region_keys, total_trace,
+    EnumerationBounds, enumerate_total_traces, refinements, region_keys, total_trace,
 )
 
 RULES = parse_theory(

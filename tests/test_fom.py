@@ -4,18 +4,18 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import gen_formula, gen_interval, gen_trace
+from conftest import gen_formula, gen_interval, gen_trace, is_qel_model, make_trace, total_part
 from metricht import fom
 from metricht.fom import (
     Diff, Exists, Forall, Implies, Point, Pred, QHTInterpretation, Var,
     first_smaller_model, format_fom, induced_interpretation,
-    interpretation_from_json, interpretation_to_json, is_qel_model, parse_fom,
+    interpretation_from_json, interpretation_to_json, parse_fom,
     qht_sat, simplify_fom, translate,
 )
 from metricht.parser import ParseError, parse_formula, parse_theory
 from metricht.semantics import mht_sat, strictness_axiom
 from metricht.equilibrium import is_equilibrium, enumerate_equilibrium
-from metricht.traces import EnumerationBounds, make_trace, total_part, total_trace
+from metricht.traces import EnumerationBounds, total_trace
 
 PUSH_RULE = parse_formula("G (push -> F[1..15) G[0..30] green)")
 PUSH_SENTENCE = ("!x (0 <={0} x & push(x) -> "
@@ -172,7 +172,7 @@ def test_is_qel_model_examples():
 def test_is_qel_model_cap():
     atoms = [(f"a{i}", 0) for i in range(21)]
     with pytest.raises(ValueError, match="capped"):
-        first_smaller_model((0,), atoms, fom.TOP, max_atoms=20)
+        first_smaller_model((0,), atoms, fom.TOP)
 
 
 def test_equilibrium_transfer_on_traffic_suite():

@@ -3,14 +3,14 @@ import random
 import pytest
 
 import oracle
-from conftest import gen_formula, gen_interval, gen_trace
+from conftest import gen_formula, gen_interval, gen_trace, make_trace, total_part
 from metricht.parser import parse_formula, parse_theory
 from metricht.semantics import em_theory, is_model, mht_sat, strictness_axiom
 from metricht.syntax import (
     Atom, FULL, Interval, Theory, always, eventually, historically, format_formula,
     initial, final, neg, once, weak_next, weak_prev,
 )
-from metricht.traces import TimedHTTrace, make_trace, total_part, total_trace
+from metricht.traces import TimedHTTrace, total_trace
 
 RULES = parse_theory(
     "G (red & green -> #false)\n"

@@ -5,11 +5,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from conftest import gen_trace, traces_st
+from conftest import gaps, gen_trace, make_trace, total_part, traces_st
 from metricht.traces import (
-    EnumerationBounds, enumerate_total_traces, make_alphabet, make_trace,
-    refinements, reverse_trace, total_part, total_trace, trace_from_json,
-    trace_to_json,
+    EnumerationBounds, TimedHTTrace, enumerate_total_traces, make_alphabet,
+    refinements, reverse_trace, total_trace, trace_from_json, trace_to_json,
 )
 
 
@@ -35,6 +34,45 @@ def test_make_trace_errors():
         make_trace([], [])
 
 
+E, P = frozenset(), frozenset({"p"})
+
+
+@pytest.mark.parametrize("here,there,times,message", [
+    ((E, E), (E, E), (1, 2), "state 0: the first time stamp must be 0"),
+    ((E, E, E), (E, E, E), (0, 3, 1), "state 2: time stamps must be non-decreasing"),
+    ((E, P, E), (E, E, E), (0, 1, 2), "state 1: 'here' must be included in 'there'"),
+    ((E,), (E, E), (0, 1), "state and time sequences must have equal length"),
+    ((), (), (), "traces must have at least one state"),
+], ids=["first-time", "decreasing", "here-not-included", "lengths", "empty"])
+def test_constructor_messages_name_the_state(here, there, times, message):
+    with pytest.raises(ValueError) as info:
+        TimedHTTrace(here, there, times)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("fields", [
+    ([E], (E,), (0,)), ((E,), [E], (0,)), ((E,), (E,), [0]), ([P], [P], [0]),
+], ids=["here", "there", "times", "all"])
+def test_constructor_rejects_lists(fields):
+    with pytest.raises(ValueError, match="must be tuples"):
+        TimedHTTrace(*fields)
+
+
+def test_constructor_converts_nothing():
+    states, times = (P, E), (0, 4)
+    t = TimedHTTrace(states, states, times)
+    assert t.here is states and t.there is states and t.times is times
+    assert hash(t) == hash(TimedHTTrace((P, E), (P, E), (0, 4)))
+
+
+def test_total_trace_converts_sets_and_lists():
+    t = total_trace([{"p"}, ["q", "p"], ()], [0, 2, 2])
+    assert t.there == (P, frozenset({"p", "q"}), E) and t.here is t.there
+    assert t.times == (0, 2, 2) and type(t.times) is tuple
+    assert t == total_trace(({"p"}, {"p", "q"}, set()), iter((0, 2, 2)))
+    hash(t)
+
+
 def test_total_part():
     t = make_trace([(set(), {"p"})], [0])
     tp = total_part(t)
@@ -58,7 +96,7 @@ def test_reverse_properties(t):
     r = reverse_trace(t)
     assert reverse_trace(r) == t
     assert r.length == t.length
-    assert Counter(r.gaps()) == Counter(t.gaps())
+    assert Counter(gaps(r)) == Counter(gaps(t))
     assert r.is_strict() == t.is_strict()
 
 
