@@ -24,7 +24,7 @@ G (push -> F[1..15) G[0..30] green)
 
 
 def main() -> int:
-    base = parse_theory(RULES, name="traffic-light")
+    base = parse_theory(RULES)
     atoms = ("green", "push", "red")
 
     print("# base theory, lengths 1..2, final time <= 4")

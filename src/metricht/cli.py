@@ -17,7 +17,7 @@ from .equilibrium import bounded_equiv, enumerate_equilibrium, enumerate_models
 from .parser import parse_formula, parse_theory
 from .rewrite import PASSES, range_split
 from .semantics import is_model, mht_sat  # noqa: F401  (bench/tracer.py wraps is_model here)
-from .syntax import Theory, format_formula
+from .syntax import Formula, format_formula
 from .traces import EnumerationBounds, trace_from_json, trace_to_json
 from .traces import enumerate_total_traces  # noqa: F401  (bench/tracer.py wraps it here)
 
@@ -33,10 +33,6 @@ def _naming(source: str, fn, arg):
 def _load(path: str, parse):
     with open(path, encoding="utf-8") as handle:
         return _naming(path, parse, handle.read())
-
-
-def _load_theory(path: str) -> Theory:
-    return _load(path, lambda text: parse_theory(text, name=path))
 
 
 def _bounds(args, theories) -> EnumerationBounds:
@@ -64,7 +60,7 @@ def _add_bounds_flags(sub, with_exact=False):
 
 
 def cmd_check(args) -> int:
-    theory = _load_theory(args.theory)
+    theory = _load(args.theory, parse_theory)
     trace, _ = _load(args.trace, lambda text: trace_from_json(json.loads(text)))
     if not 0 <= args.at < trace.length:
         raise ValueError(f"state index {args.at} out of range")
@@ -79,7 +75,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_models(args) -> int:
-    theory = _load_theory(args.theory)
+    theory = _load(args.theory, parse_theory)
     bounds = _bounds(args, [theory])
     models = (enumerate_equilibrium if args.equilibrium else enumerate_models)(theory, bounds)
     for trace in models:
@@ -89,7 +85,7 @@ def cmd_models(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    left, right = _load_theory(args.left), _load_theory(args.right)
+    left, right = _load(args.left, parse_theory), _load(args.right, parse_theory)
     verdict = bounded_equiv(left, right, _bounds(args, [left, right]))
     if verdict.equivalent:
         print("EQUIVALENT (within bounds)")
@@ -98,6 +94,28 @@ def cmd_equiv(args) -> int:
     print(f"NOT EQUIVALENT: formula {index + 1} of the {side} theory fails on")
     print(json.dumps(trace_to_json(trace)))
     return 1
+
+
+MAX_REWRITE_NODES = 1_000_000  # `p U[0..18) q` unfolds to 524,286 nodes, [0..19) to twice that
+
+
+def _tree_size(phi: Formula) -> int:
+    """Nodes of phi as printed, a shared subformula once per use; iterative, memo by id."""
+    sizes: dict[int, int] = {}
+    stack = [phi]
+    while stack:
+        size, ready = 1, True
+        for part in vars(stack[-1]).values():
+            if isinstance(part, Formula):
+                known = sizes.get(id(part))
+                if known is None:
+                    stack.append(part)
+                    ready = False
+                else:
+                    size += known
+        if ready:
+            sizes[id(stack.pop())] = size
+    return sizes[id(phi)]
 
 
 def cmd_rewrite(args) -> int:
@@ -116,6 +134,11 @@ def cmd_rewrite(args) -> int:
         result = range_split(phi, point) if split else PASSES[name](phi)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    size = _tree_size(result)
+    if size > MAX_REWRITE_NODES:
+        print(f"error: the rewritten formula has {size:,} nodes, above the bound of "
+              f"{MAX_REWRITE_NODES:,}", file=sys.stderr)
         return 1
     print(format_formula(result))
     return 0

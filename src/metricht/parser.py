@@ -243,6 +243,6 @@ def _logical_lines(text: str):
         yield start, "\n".join(chunk)
 
 
-def parse_theory(text: str, name: str = "") -> Theory:
-    formulas = [parse_formula(chunk, line_offset=start) for start, chunk in _logical_lines(text)]
-    return Theory(tuple(formulas), name=name)
+def parse_theory(text: str) -> Theory:
+    return Theory(tuple(parse_formula(chunk, line_offset=start)
+                        for start, chunk in _logical_lines(text)))

@@ -8,13 +8,12 @@ stamps), which is the regime the bounded search uses by default.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 
 from .syntax import (
     And, Atom, BOT, Bottom, Formula, FULL, Interval, Next, Or, Prev, Release,
-    Since, Trigger, TRUE, Until, always, eventually, historically,
-    KERNEL_BINARY, map_children, match_not, match_weak_next, match_weak_prev,
-    neg, once, weak_next, weak_prev,
+    Since, Trigger, TRUE, Until, WEAK_STEP, always, eventually, KERNEL_BINARY,
+    map_children, match_not, match_weak, neg, weak_next, weak_prev,
 )
 
 _DUAL_BINARY = {Until: Release, Release: Until, Since: Trigger, Trigger: Since}
@@ -36,27 +35,28 @@ def bool_dual(phi: Formula) -> Formula:
         return TRUE
     if isinstance(phi, Atom):
         return phi
-    wk = match_weak_next(phi)
+    wk = match_weak(phi)
     if wk is not None:
-        return Next(wk[0], bool_dual(wk[1]))
-    wk = match_weak_prev(phi)
-    if wk is not None:
-        return Prev(wk[0], bool_dual(wk[1]))
+        step, iv, arg = wk
+        return step(iv, bool_dual(arg))
     if isinstance(phi, And):
         return Or(bool_dual(phi.lhs), bool_dual(phi.rhs))
     if isinstance(phi, Or):
         return And(bool_dual(phi.lhs), bool_dual(phi.rhs))
-    if isinstance(phi, Next):
-        return weak_next(phi.interval, bool_dual(phi.arg))
-    if isinstance(phi, Prev):
-        return weak_prev(phi.interval, bool_dual(phi.arg))
+    if isinstance(phi, (Next, Prev)):
+        return WEAK_STEP[type(phi)](phi.interval, bool_dual(phi.arg))
     if isinstance(phi, KERNEL_BINARY):
         return _DUAL_BINARY[type(phi)](phi.interval, bool_dual(phi.lhs), bool_dual(phi.rhs))
     raise ValueError("duality is defined only for implication-free formulas")
 
 
 def time_swap(phi: Formula) -> Formula:
-    """Exchange every future connective with its past twin; an involution."""
+    """Exchange every future connective with its past twin; an involution.
+
+    The one owner of the future/past pairing: the strict-timing passes below
+    state their rules for X, U and R only and rewrite a past node as
+    time_swap(P(time_swap(phi))), which every pass commutes with.
+    """
     if isinstance(phi, (Next, Prev)):
         return _SWAP[type(phi)](phi.interval, time_swap(phi.arg))
     if isinstance(phi, KERNEL_BINARY):
@@ -94,17 +94,20 @@ def range_split(phi: Formula, i: int) -> Formula:
 
 def _expand(cls, iv: Interval, lhs: Formula, rhs: Formula) -> Formula:
     until_like = cls in (Until, Since)
-    m, n = iv.lower, iv.upper
-    if m >= n:
-        return BOT if until_like else TRUE
-    if m == 0 and n == 1:
-        return rhs
     combine, wrap = (Or, And) if until_like else (And, Or)
     step = {Until: Next, Since: Prev, Release: weak_next, Trigger: weak_prev}[cls]
-    parts = [step(Interval(i, i + 1), _expand(cls, Interval(max(m - i, 0), n - i), lhs, rhs))
-             for i in range(1, n)]
-    body = wrap(lhs, reduce(combine, parts))
-    return combine(rhs, body) if m == 0 else body
+
+    @cache  # one shared subtree per sub-window: a DAG of O((m + n) * n) nodes
+    def expand(m: int, n: int) -> Formula:
+        if m >= n:
+            return BOT if until_like else TRUE
+        if m == 0 and n == 1:
+            return rhs
+        parts = [step(Interval(i, i + 1), expand(max(m - i, 0), n - i)) for i in range(1, n)]
+        body = wrap(lhs, reduce(combine, parts))
+        return combine(rhs, body) if m == 0 else body
+
+    return expand(iv.lower, iv.upper)
 
 
 def unfold_next(phi: Formula) -> Formula:
@@ -116,13 +119,12 @@ def unfold_next(phi: Formula) -> Formula:
     zero-gap successor impossible).  Binary nodes with an unbounded interval
     are rejected.
     """
-    for matcher, rebuild in ((match_weak_next, weak_next), (match_weak_prev, weak_prev)):
-        wk = matcher(phi)
-        if wk is not None:
-            iv, arg = wk
-            if iv.is_empty() or (iv.lower, iv.upper) == (0, 1):
-                return TRUE
-            return rebuild(iv, unfold_next(arg))
+    wk = match_weak(phi)
+    if wk is not None:
+        step, iv, arg = wk
+        if iv.is_empty() or (iv.lower, iv.upper) == (0, 1):
+            return TRUE
+        return WEAK_STEP[step](iv, unfold_next(arg))
     if isinstance(phi, (Next, Prev)):
         iv = phi.interval
         if iv.is_empty() or (iv.lower, iv.upper) == (0, 1):
@@ -138,74 +140,56 @@ def unfold_next(phi: Formula) -> Formula:
 def one_step_eliminate(phi: Formula) -> Formula:
     """Define interval-indexed one-step operators away, assuming strict timing.
 
-    A successor (predecessor) at gap d is the unique state at time distance d
-    once distances 1..d-1 are excluded, so a one-step operator over a finite
+    A successor at gap d is the unique state at time distance d once
+    distances 1..d-1 are excluded, so a one-step operator over a finite
     window becomes a disjunction over the admissible gaps of "no state in
     [1..d) and some state at exactly d satisfying the argument".  An
     unbounded window keeps a bare one-step operator: the window then only
     excludes small gaps, which the always-part expresses.  Empty windows are
-    falsum.
+    falsum.  A predecessor is the time mirror of a successor.
     """
-    if isinstance(phi, (Next, Prev)):
-        iv = phi.interval
-        arg = one_step_eliminate(phi.arg)
-        if iv.is_empty():
-            return BOT
-        if iv.is_full():
-            return type(phi)(iv, arg)
-        past = isinstance(phi, Prev)
-        some = once if past else eventually
-        none_in = historically if past else always
-        m, n = iv.lower, iv.upper
-        h = max(1, m)
-        if n is None:
-            bare = type(phi)(FULL, arg)
-            return bare if m <= 1 else And(none_in(Interval(1, m), BOT), bare)
-        parts = []
-        for d in range(h, n):
-            witness = some(Interval(d, d + 1), arg)
-            parts.append(witness if d == 1 else And(none_in(Interval(1, d), BOT), witness))
-        if not parts:
-            return BOT
-        return reduce(Or, parts)
-    return map_children(phi, one_step_eliminate)
+    if isinstance(phi, Prev):
+        return time_swap(one_step_eliminate(time_swap(phi)))
+    if not isinstance(phi, Next):
+        return map_children(phi, one_step_eliminate)
+    iv, arg = phi.interval, one_step_eliminate(phi.arg)
+    if iv.is_empty():
+        return BOT
+    if iv.is_full():
+        return Next(iv, arg)
+    m, n = iv.lower, iv.upper
+    if n is None:
+        bare = Next(FULL, arg)
+        return bare if m <= 1 else And(always(Interval(1, m), BOT), bare)
+    parts = [eventually(Interval(d, d + 1), arg) if d == 1 else
+             And(always(Interval(1, d), BOT), eventually(Interval(d, d + 1), arg))
+             for d in range(max(1, m), n)]
+    return reduce(Or, parts) if parts else BOT
+
+
+# until/release: (combine, the window's own unary form, the guard before the
+# window, the one-step anchor of the chain)
+_UNARY_NF = {Until: (And, eventually, always, Next), Release: (Or, always, eventually, weak_next)}
 
 
 def to_unary_nf(phi: Formula) -> Formula:
     """Push intervals off binary temporal operators, assuming strict timing.
 
     In the result only unary temporal operators carry intervals; every
-    U/R/S/T is left with [0..w).  The until/since shape anchors the witness
-    with a one-step operator; release/trigger dually use the weak one.
+    U/R/S/T is left with [0..w).  The until shape anchors the witness with a
+    one-step operator; release dually uses the weak one.  Since and trigger
+    are the time mirrors of until and release.
     """
-    if isinstance(phi, KERNEL_BINARY):
-        iv = phi.interval
-        lhs, rhs = to_unary_nf(phi.lhs), to_unary_nf(phi.rhs)
-        cls = type(phi)
-        if iv.is_full():
-            return cls(iv, lhs, rhs)
-        m = iv.lower
-        if isinstance(phi, Until):
-            if m == 0:
-                return And(eventually(iv, rhs), Until(FULL, lhs, rhs))
-            return And(eventually(iv, rhs),
-                       always(Interval(0, m), Until(FULL, lhs, And(lhs, Next(FULL, rhs)))))
-        if isinstance(phi, Release):
-            if m == 0:
-                return Or(always(iv, rhs), Release(FULL, lhs, rhs))
-            return Or(always(iv, rhs),
-                      eventually(Interval(0, m),
-                                 Release(FULL, lhs, Or(lhs, weak_next(FULL, rhs)))))
-        if isinstance(phi, Since):
-            if m == 0:
-                return And(once(iv, rhs), Since(FULL, lhs, rhs))
-            return And(once(iv, rhs),
-                       historically(Interval(0, m), Since(FULL, lhs, And(lhs, Prev(FULL, rhs)))))
-        if m == 0:
-            return Or(historically(iv, rhs), Trigger(FULL, lhs, rhs))
-        return Or(historically(iv, rhs),
-                  once(Interval(0, m), Trigger(FULL, lhs, Or(lhs, weak_prev(FULL, rhs)))))
-    return map_children(phi, to_unary_nf)
+    if not isinstance(phi, KERNEL_BINARY) or phi.interval.is_full():
+        return map_children(phi, to_unary_nf)
+    if isinstance(phi, (Since, Trigger)):
+        return time_swap(to_unary_nf(time_swap(phi)))
+    combine, within, guard, step = _UNARY_NF[type(phi)]
+    iv, lhs, rhs = phi.interval, to_unary_nf(phi.lhs), to_unary_nf(phi.rhs)
+    if iv.lower == 0:
+        return combine(within(iv, rhs), type(phi)(FULL, lhs, rhs))
+    chain = type(phi)(FULL, lhs, combine(lhs, step(FULL, rhs)))
+    return combine(within(iv, rhs), guard(Interval(0, iv.lower), chain))
 
 
 PASSES = {

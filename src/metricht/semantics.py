@@ -77,8 +77,7 @@ def is_model(trace: TimedHTTrace, theory: Theory) -> bool:
 
 def em_theory(alphabet) -> Theory:
     """Per-atom excluded-middle axioms; exactly the total traces satisfy them."""
-    return Theory(tuple(always(FULL, Or(Atom(p), neg(Atom(p)))) for p in alphabet),
-                  name="excluded-middle")
+    return Theory(tuple(always(FULL, Or(Atom(p), neg(Atom(p)))) for p in alphabet))
 
 
 def strictness_axiom() -> Formula:

@@ -188,6 +188,9 @@ def weak_prev(interval: Interval, phi: Formula) -> Formula:
     return Or(Prev(interval, phi), neg(Prev(interval, TRUE)))
 
 
+WEAK_STEP = {Next: weak_next, Prev: weak_prev}
+
+
 def initial() -> Formula:
     return neg(Prev(FULL, TRUE))
 
@@ -209,19 +212,12 @@ def match_not(phi: Formula) -> Formula | None:
     return None
 
 
-def match_weak_next(phi: Formula) -> tuple[Interval, Formula] | None:
-    if isinstance(phi, Or) and isinstance(phi.lhs, Next):
-        inner = match_not(phi.rhs)
-        if isinstance(inner, Next) and inner.arg == TRUE and inner.interval == phi.lhs.interval:
-            return phi.lhs.interval, phi.lhs.arg
-    return None
-
-
-def match_weak_prev(phi: Formula) -> tuple[Interval, Formula] | None:
-    if isinstance(phi, Or) and isinstance(phi.lhs, Prev):
-        inner = match_not(phi.rhs)
-        if isinstance(inner, Prev) and inner.arg == TRUE and inner.interval == phi.lhs.interval:
-            return phi.lhs.interval, phi.lhs.arg
+def match_weak(phi: Formula) -> tuple[type, Interval, Formula] | None:
+    """(Next or Prev, interval, arg) when phi is weak one-step sugar."""
+    if isinstance(phi, Or) and isinstance(phi.lhs, (Next, Prev)):
+        step, inner = phi.lhs, match_not(phi.rhs)
+        if type(inner) is type(step) and inner.arg == TRUE and inner.interval == step.interval:
+            return type(step), step.interval, step.arg
     return None
 
 
@@ -265,7 +261,6 @@ def map_children(phi: Formula, fn) -> Formula:
 @dataclass(frozen=True)
 class Theory:
     formulas: tuple[Formula, ...]
-    name: str = ""
 
     def __len__(self) -> int:
         return len(self.formulas)
@@ -327,12 +322,9 @@ def _fmt(phi: Formula) -> tuple[str, int]:
     if phi == FINAL:
         return "#final", _PREC_ATOM
 
-    wk = match_weak_next(phi)
+    wk = match_weak(phi)
     if wk is not None:
-        return _unary_app("wX", wk[0], wk[1])
-    wk = match_weak_prev(phi)
-    if wk is not None:
-        return _unary_app("wY", wk[0], wk[1])
+        return _unary_app("w" + _UNARY_NAMES[wk[0]], wk[1], wk[2])
 
     inner = match_not(phi)
     if inner is not None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 from operator import le
 from typing import Iterable, Iterator
 
@@ -111,15 +111,10 @@ def _subsets(atoms: tuple[str, ...]) -> list[frozenset[str]]:
 
 
 def _time_maps(length: int, max_time: int, strict: bool) -> Iterator[tuple[int, ...]]:
-    def extend(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == length:
-            yield prefix
-            return
-        start = prefix[-1] + 1 if strict else prefix[-1]
-        for t in range(start, max_time + 1):
-            yield from extend(prefix + (t,))
-
-    yield from extend((0,))
+    """Time maps from 0, ascending (non-decreasing unless strict), in lexicographic order."""
+    later = (combinations(range(1, max_time + 1), length - 1) if strict
+             else combinations_with_replacement(range(max_time + 1), length - 1))
+    return ((0,) + rest for rest in later)
 
 
 def region_keys(bounds: EnumerationBounds, formulas) -> Iterator[tuple[tuple[int, ...], tuple]]:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -156,6 +158,28 @@ def test_rewrite_split_point_must_be_an_integer(capsys):
     # a point outside the interval fails the pass's precondition, not its usage
     assert main(["rewrite", "--formula", "p U[2..8) q", "--pass", "split:9"]) == 1
     assert capsys.readouterr().err == "error: split point 9 lies outside [2..8)\n"
+
+
+def test_rewrite_refuses_a_result_above_the_node_bound(capsys):
+    # unfolding doubles the printed tree with each step of the window, while
+    # the shared result stays small enough to count at once
+    start = time.perf_counter()
+    assert main(["rewrite", "--formula", "p U[0..24) q", "--pass", "unf"]) == 1
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == \
+        "error: the rewritten formula has 33,554,430 nodes, above the bound of 1,000,000\n"
+    assert main(["rewrite", "--formula", "p U[0..19) q", "--pass", "unf"]) == 1
+    assert "1,048,574 nodes" in capsys.readouterr().err
+
+
+def test_rewrite_below_the_node_bound_prints_the_whole_tree(capsys):
+    assert main(["rewrite", "--formula", "p U[0..14) q", "--pass", "unf"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 106_503
+    assert hashlib.sha256(out).hexdigest() == \
+        "ae28a68da7a9a9670bc7ca6a254b454738263d49881f12f86e9635960cd68902"
 
 
 @pytest.mark.parametrize("text,where", [

@@ -15,7 +15,11 @@ from metricht.fom import (
 from metricht.parser import ParseError, parse_formula, parse_theory
 from metricht.semantics import mht_sat, strictness_axiom
 from metricht.equilibrium import is_equilibrium, enumerate_equilibrium
-from metricht.traces import EnumerationBounds, total_trace
+from metricht.syntax import (
+    And, Atom, BOT, FULL, Implies as KImplies, Interval, Next, Or, Prev, Release, Since,
+    Trigger, Until, format_formula,
+)
+from metricht.traces import EnumerationBounds, TimedHTTrace, total_trace
 
 PUSH_RULE = parse_formula("G (push -> F[1..15) G[0..30] green)")
 PUSH_SENTENCE = ("!x (0 <={0} x & push(x) -> "
@@ -148,7 +152,38 @@ def test_induced_interpretation_requires_strict():
 
 # ------------------------------------------------------------------ model correspondence
 
+def _depth_one_formulas():
+    """Every formula of connective depth <= 1 over {p, q, #false} (198 of them)."""
+    leaves = [Atom("p"), Atom("q"), BOT]
+    intervals = [FULL, Interval(1, 3), Interval(0, 1), Interval(2, None)]
+    formulas = list(leaves)
+    formulas += [op(a, b) for op in (And, Or, KImplies) for a in leaves for b in leaves]
+    formulas += [op(iv, a) for op in (Next, Prev) for iv in intervals for a in leaves]
+    formulas += [op(iv, a, b) for op in (Until, Release, Since, Trigger) for iv in intervals
+                 for a in leaves for b in leaves]
+    return formulas
+
+
 def test_model_correspondence():
+    # the translation theorem over a whole bounded space: every strict
+    # here-and-there trace over {p, q} with at most 2 states and final time
+    # <= 3 (252 traces), every state, every depth-1 formula
+    import oracle
+    formulas = _depth_one_formulas()
+    assert len(formulas) == 198
+    sentences = {(phi, t): translate(phi, t) for phi in formulas for t in range(4)}
+    checks = 0
+    for here, there, times in oracle.bounded_space(("p", "q"), 2, 3, strict=True):
+        trace = TimedHTTrace(here, there, times)
+        interp = induced_interpretation(trace)
+        for k in range(trace.length):
+            for phi in formulas:
+                assert mht_sat(trace, k, phi) == qht_sat(interp, sentences[phi, times[k]]), \
+                    (format_formula(phi), trace, k)
+                checks += 1
+    assert checks == 98_010
+
+    # deeper formulas, sampled
     rng = random.Random(43)
     nonempty = lambda r: gen_interval(r, nonempty_only=True, max_lo=3, max_width=3)
     for _ in range(600):

@@ -95,6 +95,23 @@ def test_boolean_duality_corollary(left, right):
     assert bounded_equiv(Theory((dual_l,)), Theory((dual_r,)), bounds).equivalent
 
 
+# ------------------------------------------------------------------ time mirror
+
+def test_passes_commute_with_time_swap():
+    # unary and onestep state their rules for X, U and R only and derive the
+    # past ones as time mirrors; that rests on every pass commuting with swap
+    rng = random.Random(31)
+    finite = lambda r: gen_interval(r, finite_only=True, max_lo=2, max_width=3)
+    for _ in range(2000):
+        phi = gen_formula(rng, rng.randint(0, 4))
+        for rewrite in (to_unary_nf, one_step_eliminate, push_negation):
+            assert rewrite(time_swap(phi)) == time_swap(rewrite(phi)), format_formula(phi)
+        phi = gen_formula(rng, rng.randint(0, 4), impl=False)
+        assert bool_dual(time_swap(phi)) == time_swap(bool_dual(phi)), format_formula(phi)
+        phi = gen_formula(rng, rng.randint(0, 2), interval=finite)
+        assert unfold_next(time_swap(phi)) == time_swap(unfold_next(phi)), format_formula(phi)
+
+
 # ------------------------------------------------------------------ negation pushing
 
 def test_push_negation_examples():

@@ -15,8 +15,7 @@ from metricht.traces import TimedHTTrace, total_trace
 RULES = parse_theory(
     "G (red & green -> #false)\n"
     "G (~green -> red)\n"
-    "G (push -> F[1..15) G[0..30] green)\n",
-    name="traffic-light")
+    "G (push -> F[1..15) G[0..30] green)\n")
 
 
 def test_sat_examples():
