@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Showcase of the rewrite passes and the first-order translation.
 
-Exits 1 unless every printed formula and sentence parses back to itself.
+Exits 1 unless every printed formula and sentence parses back to itself and
+every equivalence-preserving rewrite has the same here-and-there models as
+its input on all strict traces of length <= 3 and final time <= 5.
 """
 
 import sys
@@ -10,7 +12,12 @@ from metricht import (
     bool_dual, format_formula, one_step_eliminate, parse_formula, range_split,
     time_swap, to_unary_nf, unfold_next,
 )
+from metricht.equilibrium import bounded_equiv
 from metricht.fom import FOMFormula, format_fom, parse_fom, simplify_fom, translate
+from metricht.syntax import Theory
+from metricht.traces import EnumerationBounds
+
+EQUIVALENT = ("unfolded", "unary nf", "split at 3", "one-step")
 
 
 def show(label: str, node) -> bool:
@@ -35,15 +42,20 @@ def main() -> int:
         [("formula", one_step), ("one-step", one_step_eliminate(one_step))],
         [("formula", rule), ("translated", raw), ("simplified", simplify_fom(raw))],
     ]
-    unparsed = []
+    unparsed, differing = [], []
     for i, section in enumerate(sections):
         if i:
             print()
         unparsed += [label for label, node in section if not show(label, node)]
+        source = Theory((section[0][1],))
+        bounds = EnumerationBounds(source.atoms(), 3, 5)
+        differing += [label for label, node in section if label in EQUIVALENT
+                      and not bounded_equiv(source, Theory((node,)), bounds).equivalent]
     if unparsed:
         print(f"did not parse back to itself: {', '.join(unparsed)}", file=sys.stderr)
-        return 1
-    return 0
+    if differing:
+        print(f"not equivalent to its input: {', '.join(differing)}", file=sys.stderr)
+    return 1 if unparsed or differing else 0
 
 
 if __name__ == "__main__":

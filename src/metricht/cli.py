@@ -140,7 +140,12 @@ def cmd_rewrite(args) -> int:
         print(f"error: the rewritten formula has {size:,} nodes, above the bound of "
               f"{MAX_REWRITE_NODES:,}", file=sys.stderr)
         return 1
-    print(format_formula(result))
+    try:
+        text = format_formula(result)
+    except RecursionError:  # the input was shallow enough to parse; the result is not
+        print("error: the rewritten formula is nested too deeply to print", file=sys.stderr)
+        return 1
+    print(text)
     return 0
 
 

@@ -4,17 +4,19 @@ A total trace is in equilibrium for a theory when no strictly smaller
 here-component still satisfies the theory.  Both the model search and the
 equivalence check are exhaustive over a finite bounded trace space, so a
 negative answer is definitive while a positive one holds within the bounds.
+The refinement scan and the equivalence check decide a whole chunk of traces
+per evaluation (`semantics.first_trace`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
-from .semantics import is_model, mht_sat
+from .semantics import first_trace, is_model, mht_sat
 from .syntax import Theory
-from .traces import EnumerationBounds, TimedHTTrace, refinements, region_keys, total_traces_at
-from .traces import enumerate_total_traces  # noqa: F401  (bench/tracer.py wraps it here)
+from .traces import EnumerationBounds, TimedHTTrace, region_keys, total_traces_at
+# bench/tracer.py wraps these two here
+from .traces import enumerate_total_traces, refinements  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -32,11 +34,13 @@ class EquivVerdict:
 
 
 def _first_smaller_model(total: TimedHTTrace, theory: Theory) -> TimedHTTrace | None:
-    """The first refinement of a total trace that still satisfies the theory."""
-    for smaller in refinements(total):
-        if is_model(smaller, theory):
-            return smaller
-    return None
+    """The first refinement of a total trace, in `refinements` order, that is a model.
+
+    The total itself has the highest index of its refinement space.
+    """
+    alphabet = tuple(sorted(frozenset().union(*total.there)))
+    smaller = first_trace(alphabet, total.times, lambda models: models(theory), total.there)
+    return None if smaller is None or smaller.here == total.there else smaller
 
 
 def is_equilibrium(trace: TimedHTTrace, theory: Theory) -> EquilibriumVerdict:
@@ -95,13 +99,16 @@ def bounded_equiv(left: Theory, right: Theory, bounds: EnumerationBounds) -> Equ
         if key in searched:
             continue
         searched.add(key)
-        for total in total_traces_at(times, bounds.alphabet):
-            for trace in chain((total,), refinements(total)):
-                sat_left, sat_right = is_model(trace, left), is_model(trace, right)
-                if sat_left == sat_right:
-                    continue
-                side, failing = ("right", right) if sat_left else ("left", left)
-                index = next(i for i, phi in enumerate(failing.formulas)
-                             if not mht_sat(trace, 0, phi))
-                return EquivVerdict(False, (trace, index, side))
+        trace = first_trace(bounds.alphabet, times,
+                            lambda models: models(left) ^ models(right))
+        if trace is None:
+            continue
+        # the total comes before its refinements, though its index is higher
+        total = TimedHTTrace(trace.there, trace.there, times)
+        if is_model(total, left) != is_model(total, right):
+            trace = total
+        side, failing = ("right", right) if is_model(trace, left) else ("left", left)
+        index = next(i for i, phi in enumerate(failing.formulas)
+                     if not mht_sat(trace, 0, phi))
+        return EquivVerdict(False, (trace, index, side))
     return EquivVerdict(True, None)

@@ -182,6 +182,19 @@ def test_rewrite_below_the_node_bound_prints_the_whole_tree(capsys):
         "ae28a68da7a9a9670bc7ca6a254b454738263d49881f12f86e9635960cd68902"
 
 
+def test_rewrite_result_too_deep_to_print_is_not_blamed_on_the_input(capsys):
+    # the flat input unrolls into a 699-part `|` chain, deeper than the printer recurses
+    assert main(["rewrite", "--formula", "X[0..700) p", "--pass", "onestep"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: the rewritten formula is nested too deeply to print\n"
+    assert main(["rewrite", "--formula", "X[0..50) p", "--pass", "onestep"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 1428
+    assert hashlib.sha256(out).hexdigest() == \
+        "e97f3979500212a4cd9a45554e8432394cd30b34952f639299293df1c9138e6c"
+
+
 @pytest.mark.parametrize("text,where", [
     ("p &", "line 1, column 4: unexpected end of input"),
     ("G (p", "line 1, column 5: expected ')', found 'end of input'"),

@@ -1,6 +1,8 @@
 import random
+import signal
+import tracemalloc
 from dataclasses import replace
-from itertools import chain
+from itertools import chain, islice
 
 import pytest
 
@@ -9,8 +11,8 @@ from metricht.equilibrium import (
     EquivVerdict, bounded_equiv, enumerate_equilibrium, enumerate_models, is_equilibrium,
 )
 from metricht.parser import parse_theory
-from metricht.semantics import is_model, mht_sat, strictness_axiom
-from metricht.syntax import Theory
+from metricht.semantics import ht_tables, is_model, mht_sat, strictness_axiom
+from metricht.syntax import Theory, neg
 from metricht.traces import (
     EnumerationBounds, enumerate_total_traces, refinements, region_keys, total_trace,
 )
@@ -250,3 +252,91 @@ def test_region_classes_match_the_plain_search(strict):
         keys = [key for _, key in region_keys(bounds, left.formulas + right.formulas)]
         merged += len(set(keys)) < len(keys)
     assert merged
+
+
+def _seeded_theory(rng, atoms=("p", "q")):
+    return Theory(tuple(gen_formula(rng, rng.randint(1, 3), atoms=atoms)
+                        for _ in range(rng.randint(1, 2))))
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_bit_parallel_equiv_matches_the_plain_search(strict):
+    # the exact counterexample: trace, formula index and side
+    rng = random.Random(45 if strict else 46)
+    bounds = EnumerationBounds(("p", "q"), 3, 3, strict_only=strict)
+    differ = 0
+    for _ in range(20):
+        left = _seeded_theory(rng)
+        # a second theory, and one that differs from left in the here-world only
+        for right in (_seeded_theory(rng), Theory(tuple(neg(neg(phi)) for phi in left))):
+            verdict = bounded_equiv(left, right, bounds)
+            assert verdict == _plain_equiv(left, right, bounds)
+            differ += not verdict.equivalent
+    assert differ > 15
+
+
+def test_bit_parallel_equiv_across_chunks():
+    # 3 atoms over 3 states index 2 * 9 bits, so each time map takes 4 chunks
+    rng = random.Random(47)
+    atoms = ("p", "q", "r")
+    bounds = EnumerationBounds(atoms, 3, 2, exact_len=True)
+    found_in = set()
+    for _ in range(3):
+        left = _seeded_theory(rng, atoms)
+        for right in (_seeded_theory(rng, atoms), Theory(tuple(neg(neg(phi)) for phi in left)),
+                      Theory(left.formulas[::-1])):
+            verdict = bounded_equiv(left, right, bounds)
+            assert verdict == _plain_equiv(left, right, bounds)
+            if not verdict.equivalent:
+                trace = verdict.counterexample[0]
+                found_in.add(any("r" in state for state in trace.there[:2]))
+    assert found_in == {False, True}  # counterexamples below and above the first chunk
+
+
+def test_refinement_scan_across_chunks():
+    # 3 atoms over 6 states index 18 here-bits; state 0 owns the top three
+    total = total_trace([{"p", "q", "r"}, set(), {"q"}, set(), set(), {"p", "r"}],
+                        [0, 1, 2, 3, 4, 5])
+    for text in ("q", "r", "q & r", "X X q | r", "F[5] r", "p | F[5] p", "#true",
+                 "p & q & r & X X q & F[5] (p & r)"):
+        theory = parse_theory(text)
+        first = next((r for r in refinements(total) if is_model(r, theory)), None)
+        assert is_equilibrium(total, theory).witness == first, text
+    assert first is None
+
+
+def test_refinement_scan_indexes_only_the_atoms_of_the_total():
+    # 14 states holding one atom each out of 4: the scan indexes the 2**14
+    # refinements in one chunk, not 2**56 indices (every atom in every state)
+    total = total_trace([{"pqrs"[k % 4]} for k in range(14)], range(14))
+    chunks = islice(ht_tables(total.atoms(), total.times, total.there), 2)
+    assert [(base, valid) for base, valid, _ in chunks] == [(0, (1 << 2 ** 14) - 1)]
+
+    def too_slow(signum, frame):
+        raise TimeoutError("the refinement scan took over 20 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(20)
+    try:
+        for text in ("G (p | q | r | s)", "F[5..9] s", "G (p -> X q)"):
+            theory = parse_theory(text)
+            first = next((r for r in refinements(total) if is_model(r, theory)), None)
+            assert is_equilibrium(total, theory).witness == first, text
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_equiv_memory_stays_bounded():
+    # 3 atoms at L = 4: 2**24 (there, here) indices per time map, in 2**16-bit chunks
+    atoms = ("p", "q", "r")
+    bounds = EnumerationBounds(atoms, 4, 3, exact_len=True)
+    left = parse_theory("G (p -> F[1..3) q)\nG (r | ~q)\n")
+    right = Theory(left.formulas[::-1])
+    tracemalloc.start()
+    try:
+        assert bounded_equiv(left, right, bounds).equivalent
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20

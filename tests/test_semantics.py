@@ -5,10 +5,13 @@ import pytest
 import oracle
 from conftest import gen_formula, gen_interval, gen_trace, make_trace, total_part
 from metricht.parser import parse_formula, parse_theory
-from metricht.semantics import em_theory, is_model, mht_sat, strictness_axiom
+from metricht.semantics import (
+    em_theory, ht_tables, ht_trace, is_model, mht_sat, strictness_axiom,
+)
 from metricht.syntax import (
-    Atom, FULL, Interval, Theory, always, eventually, historically, format_formula,
-    initial, final, neg, once, weak_next, weak_prev,
+    And, Atom, BOT, FULL, Implies, Interval, Next, Or, Prev, Release, Since, Theory,
+    Trigger, Until, always, eventually, historically, format_formula, initial, final,
+    neg, once, weak_next, weak_prev,
 )
 from metricht.traces import TimedHTTrace, total_trace
 
@@ -172,3 +175,47 @@ def test_matches_oracle_on_long_traces():
             assert mht_sat(t, k, phi) == oracle.sat(t.here, t.there, t.times, k, phi), \
                 (format_formula(phi), t, k)
     assert any(iv.is_empty() for iv in drawn) and any(iv.upper is None for iv in drawn)
+
+
+def _every_connective_to_depth_two():
+    """Depth-1 and depth-2 formulas over p, q with each connective on top.
+
+    The windows include the full, a lower-bounded unbounded, an empty, a
+    point and a bounded one.
+    """
+    p, q = Atom("p"), Atom("q")
+    windows = [FULL, Interval(1, None), Interval(2, 2), Interval(0, 1), Interval(1, 3)]
+    unary, binary = (Next, Prev), (Until, Release, Since, Trigger)
+    shallow = [BOT, And(p, q), Or(q, p), Implies(p, q), neg(q)]
+    shallow += [op(windows[i], p if i % 2 else q) for i, op in enumerate(unary)]
+    shallow += [op(windows[i], p, q if i % 2 else neg(p)) for i, op in enumerate(binary)]
+    deep = [And(shallow[3], shallow[6]), Or(shallow[7], shallow[1]),
+            Implies(shallow[4], shallow[2]), Implies(shallow[5], shallow[8]), neg(shallow[4])]
+    for i, op in enumerate(unary + binary):
+        for j in (i, i + 2):
+            window = windows[j % len(windows)]
+            lhs, rhs = shallow[(i + j) % len(shallow)], shallow[(3 * i + j + 4) % len(shallow)]
+            deep.append(op(window, lhs) if op in unary else op(window, lhs, rhs))
+    return shallow + deep
+
+
+def test_tables_match_oracle_exhaustively():
+    # every time map over {p, q} with L <= 3 and final time <= 4, strict ones
+    # included: bit i of table(k, phi) is the oracle's verdict on trace i at k
+    formulas = _every_connective_to_depth_two()
+    atoms = ("p", "q")
+    checked = 0
+    for times in {times for _, _, times in oracle.bounded_space(atoms, 3, 4, strict=False)}:
+        for base, valid, table in ht_tables(atoms, times):
+            traces = [(i, ht_trace(base + i, atoms, times))
+                      for i in range(valid.bit_length()) if valid >> i & 1]
+            # every HT trace with this time map, once
+            assert len({(t.here, t.there) for _, t in traces}) == 3 ** (2 * len(times))
+            for phi in formulas:
+                for k in range(len(times)):
+                    bits = table(k, phi)
+                    for i, t in traces:
+                        assert (bits >> i & 1) == oracle.sat(t.here, t.there, times, k, phi), \
+                            (format_formula(phi), t, k)
+                        checked += 1
+    assert checked == 941_472
