@@ -16,7 +16,7 @@ from . import fom
 from .equilibrium import bounded_equiv, enumerate_equilibrium, enumerate_models
 from .parser import parse_formula, parse_theory
 from .rewrite import PASSES, range_split
-from .semantics import is_model, mht_sat  # noqa: F401  (bench/tracer.py wraps is_model here)
+from .semantics import Program, is_model, mht_sat  # noqa: F401  (wrapped by bench/tracer.py)
 from .syntax import Formula, format_formula
 from .traces import EnumerationBounds, trace_from_json, trace_to_json
 from .traces import enumerate_total_traces  # noqa: F401  (bench/tracer.py wraps it here)
@@ -64,12 +64,10 @@ def cmd_check(args) -> int:
     trace, _ = _load(args.trace, lambda text: trace_from_json(json.loads(text)))
     if not 0 <= args.at < trace.length:
         raise ValueError(f"state index {args.at} out of range")
-    failing = None
-    for i, phi in enumerate(theory.formulas, start=1):
-        ok = mht_sat(trace, args.at, phi)
-        print(f"formula {i}: {'SAT' if ok else 'UNSAT'}")
-        if not ok and failing is None:
-            failing = i
+    program, failing = Program(theory.formulas, trace.times, trace.is_total()), None
+    for i, ok in enumerate(program.verdicts(trace.here, trace.there, args.at), start=1):
+        print(f"formula {i}: {'SAT' if ok else 'UNSAT'}")  # as soon as it is decided
+        failing = failing or (None if ok else i)
     print("SAT" if failing is None else f"UNSAT(formula {failing})")
     return 0 if failing is None else 1
 

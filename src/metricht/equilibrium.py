@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .semantics import first_trace, is_model, mht_sat
+from .semantics import Program, first_trace, is_model, mht_sat
 from .syntax import Theory
-from .traces import EnumerationBounds, TimedHTTrace, region_keys, total_traces_at
+from .traces import EnumerationBounds, TimedHTTrace, region_keys, state_sequences
 # bench/tracer.py wraps these two here
 from .traces import enumerate_total_traces, refinements  # noqa: F401
 
@@ -53,25 +53,26 @@ def is_equilibrium(trace: TimedHTTrace, theory: Theory) -> EquilibriumVerdict:
     return EquilibriumVerdict(witness is None, witness)
 
 
-def _replayed(theory: Theory, bounds: EnumerationBounds, keep) -> list[TimedHTTrace]:
-    """The total traces within bounds that `keep` accepts, in enumeration order.
+def _replayed(theory: Theory, bounds: EnumerationBounds, keep=None) -> list[TimedHTTrace]:
+    """The total models within bounds that `keep` (if given) accepts, in enumeration order.
 
-    Only the first time map of each region class is searched; later members
-    replay its accepted state sequences with their own time stamps.
-    """
+    Each region class compiles the theory once, against its first time map, and
+    runs every state sequence through it; later members replay the accepted ones."""
     found: dict[tuple, list] = {}
     models = []
     for times, key in region_keys(bounds, theory.formulas):
         if key not in found:
-            found[key] = [total.there for total in total_traces_at(times, bounds.alphabet)
-                          if keep(total)]
+            program = Program(theory.formulas, times)
+            found[key] = [states for states in state_sequences(bounds.alphabet, len(times))
+                          if all(program.verdicts(states, states))
+                          and (keep is None or keep(TimedHTTrace(states, states, times)))]
         models += (TimedHTTrace(states, states, times) for states in found[key])
     return models
 
 
 def enumerate_models(theory: Theory, bounds: EnumerationBounds) -> list[TimedHTTrace]:
     """All total models within bounds, in enumeration order."""
-    return _replayed(theory, bounds, lambda total: is_model(total, theory))
+    return _replayed(theory, bounds)
 
 
 def enumerate_equilibrium(theory: Theory, bounds: EnumerationBounds) -> list[TimedHTTrace]:
@@ -80,8 +81,7 @@ def enumerate_equilibrium(theory: Theory, bounds: EnumerationBounds) -> list[Tim
     Strict bounds enumerate only strict traces, whose refinements are strict
     too, so the strictness axiom holds throughout and is not added.
     """
-    return _replayed(theory, bounds, lambda total: is_model(total, theory)
-                     and _first_smaller_model(total, theory) is None)
+    return _replayed(theory, bounds, lambda total: _first_smaller_model(total, theory) is None)
 
 
 def bounded_equiv(left: Theory, right: Theory, bounds: EnumerationBounds) -> EquivVerdict:

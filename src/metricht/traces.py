@@ -132,10 +132,9 @@ def region_keys(bounds: EnumerationBounds, formulas) -> Iterator[tuple[tuple[int
                                for j, t in enumerate(times) for s in times[:j])
 
 
-def total_traces_at(times: tuple[int, ...], alphabet: tuple[str, ...]) -> Iterator[TimedHTTrace]:
-    """Every total trace with this time map, the leftmost state varying slowest."""
-    for states in product(_subsets(alphabet), repeat=len(times)):
-        yield TimedHTTrace(states, states, times)
+def state_sequences(alphabet: tuple[str, ...], length: int) -> Iterator[tuple]:
+    """Every sequence of states over the alphabet, the leftmost state varying slowest."""
+    return product(_subsets(alphabet), repeat=length)
 
 
 def enumerate_total_traces(bounds: EnumerationBounds) -> Iterator[TimedHTTrace]:
@@ -146,7 +145,8 @@ def enumerate_total_traces(bounds: EnumerationBounds) -> Iterator[TimedHTTrace]:
     """
     for length in bounds.lengths():
         for times in _time_maps(length, bounds.max_time, bounds.strict_only):
-            yield from total_traces_at(times, bounds.alphabet)
+            for states in state_sequences(bounds.alphabet, length):
+                yield TimedHTTrace(states, states, times)
 
 
 def refinements(trace: TimedHTTrace) -> Iterator[TimedHTTrace]:

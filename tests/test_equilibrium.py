@@ -11,7 +11,7 @@ from metricht.equilibrium import (
     EquivVerdict, bounded_equiv, enumerate_equilibrium, enumerate_models, is_equilibrium,
 )
 from metricht.parser import parse_theory
-from metricht.semantics import ht_tables, is_model, mht_sat, strictness_axiom
+from metricht.semantics import Program, ht_tables, is_model, mht_sat, strictness_axiom
 from metricht.syntax import Theory, neg
 from metricht.traces import (
     EnumerationBounds, enumerate_total_traces, refinements, region_keys, total_trace,
@@ -221,10 +221,20 @@ def _oracle_model(trace, theory):
 
 
 def _plain_equiv(left, right, bounds):
-    """Reference: every total trace and every refinement, with no region classes."""
+    """Reference: every total trace and every refinement, with no region classes.
+
+    Both theories are compiled together once per time map, and every trace is
+    run through that program.
+    """
+    times = None
     for total in enumerate_total_traces(bounds):
+        if total.times != times:
+            times = total.times
+            program = Program(left.formulas + right.formulas, times, total=False)
         for trace in chain((total,), refinements(total)):
-            sat_left, sat_right = is_model(trace, left), is_model(trace, right)
+            values = program.values(trace.here, trace.there)
+            verdicts = [values[root] & 1 for root in program.roots]
+            sat_left, sat_right = all(verdicts[:len(left)]), all(verdicts[len(left):])
             if sat_left != sat_right:
                 side, failing = ("right", right) if sat_left else ("left", left)
                 index = next(i for i, phi in enumerate(failing.formulas)

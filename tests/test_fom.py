@@ -13,7 +13,7 @@ from metricht.fom import (
     qht_sat, simplify_fom, translate,
 )
 from metricht.parser import ParseError, parse_formula, parse_theory
-from metricht.semantics import mht_sat, strictness_axiom
+from metricht.semantics import mht_sat, state_bits, strictness_axiom
 from metricht.equilibrium import is_equilibrium, enumerate_equilibrium
 from metricht.syntax import (
     And, Atom, BOT, FULL, Implies as KImplies, Interval, Next, Or, Prev, Release, Since,
@@ -176,9 +176,10 @@ def test_model_correspondence():
     for here, there, times in oracle.bounded_space(("p", "q"), 2, 3, strict=True):
         trace = TimedHTTrace(here, there, times)
         interp = induced_interpretation(trace)
+        bits = state_bits(trace, formulas)  # every formula at every state, in one pass
         for k in range(trace.length):
-            for phi in formulas:
-                assert mht_sat(trace, k, phi) == qht_sat(interp, sentences[phi, times[k]]), \
+            for phi, verdicts in zip(formulas, bits):
+                assert (verdicts >> k & 1 == 1) == qht_sat(interp, sentences[phi, times[k]]), \
                     (format_formula(phi), trace, k)
                 checks += 1
     assert checks == 98_010

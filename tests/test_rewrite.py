@@ -9,7 +9,7 @@ from metricht.rewrite import (
     bool_dual, one_step_eliminate, push_negation, range_split, time_swap,
     to_unary_nf, unfold_next,
 )
-from metricht.semantics import mht_sat
+from metricht.semantics import Program, mht_sat, state_bits
 from metricht.syntax import (
     And, Atom, BOT, FULL, Implies, Interval, Next, Or, Prev, Release, Since,
     Trigger, TRUE, Until, always, eventually, format_formula, neg, weak_next,
@@ -319,7 +319,6 @@ def test_strict_passes_exhaustively_on_small_space():
     # all strict HT traces with 2 atoms, length <= 3, final time <= 4,
     # against a battery of interval shapes, at every state
     import oracle
-    from metricht.traces import TimedHTTrace
 
     shapes = ["[0..0]", "[1]", "[0..2)", "[1..3)", "[2..4)", "[0..4)"]
     battery = []
@@ -329,15 +328,19 @@ def test_strict_passes_exhaustively_on_small_space():
         for op in ("X", "Y", "wX", "wY"):
             battery.append(parse_formula(f"{op}{shape} p"))
     passes = [unfold_next, one_step_eliminate, to_unary_nf]
-    rewritten = [[p(phi) for phi in battery] for p in passes]
+    rewritten = [p(phi) for p in passes for phi in battery]
+    programs = {}  # one per time map, run on each of its traces
     for here, there, times in oracle.bounded_space(("p", "q"), 3, 3, strict=True):
-        trace = TimedHTTrace(here, there, times)
-        for k in range(trace.length):
-            for phi, *outs in zip(battery, *rewritten):
-                expected = mht_sat(trace, k, phi)
-                for out in outs:
-                    assert mht_sat(trace, k, out) == expected, \
-                        (format_formula(phi), format_formula(out), trace, k)
+        if times not in programs:
+            programs[times] = Program(battery + rewritten, times, total=False)
+        program = programs[times]
+        values = program.values(here, there)
+        # bit k of each int is the verdict at state k, so every state is compared
+        bits = [values[root] for root in program.roots]
+        for i, out in enumerate(rewritten):
+            phi = battery[i % len(battery)]
+            assert bits[len(battery) + i] == bits[i % len(battery)], \
+                (format_formula(phi), format_formula(out), here, there, times)
 
 
 def test_distributivity_table():
@@ -348,8 +351,9 @@ def test_distributivity_table():
         assert len(rows) == 20
         t = gen_trace(rng, atoms=("p", "q", "r"), strict=rng.random() < 0.5)
         k = rng.randrange(t.length)
-        for idx, (left, right) in enumerate(rows):
-            assert mht_sat(t, k, left) == mht_sat(t, k, right), idx
+        bits = state_bits(t, [side for row in rows for side in row])
+        for idx in range(len(rows)):
+            assert bits[2 * idx] >> k & 1 == bits[2 * idx + 1] >> k & 1, idx
 
 
 def test_de_morgan_laws():

@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 
@@ -6,7 +7,7 @@ import oracle
 from conftest import gen_formula, gen_interval, gen_trace, make_trace, total_part
 from metricht.parser import parse_formula, parse_theory
 from metricht.semantics import (
-    em_theory, ht_tables, ht_trace, is_model, mht_sat, strictness_axiom,
+    Program, em_theory, ht_tables, ht_trace, is_model, mht_sat, state_bits, strictness_axiom,
 )
 from metricht.syntax import (
     And, Atom, BOT, FULL, Implies, Interval, Next, Or, Prev, Release, Since, Theory,
@@ -151,9 +152,9 @@ def test_matches_oracle_exhaustively_on_small_space():
     formulas = [gen_formula(rng, rng.randint(1, 3)) for _ in range(60)]
     for here, there, times in oracle.bounded_space(("p", "q"), 2, 2, strict=False):
         trace = TimedHTTrace(here, there, times)
-        for phi in formulas:
+        for phi, bits in zip(formulas, state_bits(trace, formulas)):
             for k in range(trace.length):
-                assert mht_sat(trace, k, phi) == oracle.sat(here, there, times, k, phi)
+                assert (bits >> k & 1 == 1) == oracle.sat(here, there, times, k, phi)
 
 
 def test_matches_oracle_on_long_traces():
@@ -201,21 +202,86 @@ def _every_connective_to_depth_two():
 
 def test_tables_match_oracle_exhaustively():
     # every time map over {p, q} with L <= 3 and final time <= 4, strict ones
-    # included: bit i of table(k, phi) is the oracle's verdict on trace i at k
+    # included: bit i of table(k, phi) is the oracle's verdict on trace i at k,
+    # and so is bit k of the compiled program's value of phi on trace i
     formulas = _every_connective_to_depth_two()
     atoms = ("p", "q")
     checked = 0
     for times in {times for _, _, times in oracle.bounded_space(atoms, 3, 4, strict=False)}:
+        program = Program(formulas, times, total=False)  # one per time map
+        one_world = Program(formulas, times)
         for base, valid, table in ht_tables(atoms, times):
             traces = [(i, ht_trace(base + i, atoms, times))
                       for i in range(valid.bit_length()) if valid >> i & 1]
-            # every HT trace with this time map, once
+            # every HT trace with this time map, once, here != there included
             assert len({(t.here, t.there) for _, t in traces}) == 3 ** (2 * len(times))
-            for phi in formulas:
+            compiled = []
+            for _, t in traces:
+                values = program.values(t.here, t.there)
+                compiled.append([values[root] for root in program.roots])
+                if t.here == t.there:  # the one-world program agrees on total traces
+                    values = one_world.values(t.there, t.there)
+                    here_world = (1 << len(times)) - 1
+                    assert [values[root] for root in one_world.roots] == \
+                        [bits & here_world for bits in compiled[-1]]
+            for n, phi in enumerate(formulas):
                 for k in range(len(times)):
                     bits = table(k, phi)
-                    for i, t in traces:
-                        assert (bits >> i & 1) == oracle.sat(t.here, t.there, times, k, phi), \
-                            (format_formula(phi), t, k)
+                    for (i, t), states in zip(traces, compiled):
+                        expected = oracle.sat(t.here, t.there, times, k, phi)
+                        assert (bits >> i & 1) == expected, (format_formula(phi), t, k)
+                        assert (states[n] >> k & 1) == expected, (format_formula(phi), t, k)
                         checked += 1
     assert checked == 941_472
+
+
+def test_program_matches_oracle_on_traces_longer_than_a_word():
+    # non-total traces of 130-300 states, so shifts, fills and window masks
+    # cross machine-word boundaries; windows narrower than, as wide as and
+    # wider than the whole trace, at every state
+    rng = random.Random(20)
+    p, q = Atom("p"), Atom("q")
+    for length in (130, 300):
+        times = [0]
+        for _ in range(length - 1):
+            times.append(times[-1] + rng.choice((0, 1, 1, 2, 3)))
+        there = tuple(frozenset(a for a in "pq" if rng.random() < 0.6) for _ in range(length))
+        here = tuple(frozenset(a for a in state if rng.random() < 0.8) for state in there)
+        trace = TimedHTTrace(here, there, tuple(times))
+        span = times[-1]
+        windows = [FULL, Interval(2, None), Interval(0, 3), Interval(1, 6), Interval(3, 4),
+                   Interval(0, span + 1), Interval(span, span + 1), Interval(2, span + 40)]
+        formulas = [op(window, p, q) for window in windows
+                    for op in (Until, Release, Since, Trigger)]
+        # implications read the there-world too
+        formulas += [op(window, Implies(p, q), neg(q)) for window in windows[2:4]
+                     for op in (Until, Release, Since, Trigger)]
+        formulas += [op(window, Implies(q, p)) for window in windows for op in (Next, Prev)]
+        formulas += [always(FULL, eventually(FULL, q)), always(FULL, Until(FULL, p, q)),
+                     once(Interval(0, 5), historically(Interval(0, 3), p)),
+                     Implies(eventually(FULL, p), q)]
+        for phi, bits in zip(formulas, state_bits(trace, formulas)):
+            for k in range(length):
+                assert (bits >> k & 1 == 1) == oracle.sat(here, there, trace.times, k, phi), \
+                    (format_formula(phi), length, k)
+
+
+def test_nested_unbounded_operators_take_linear_time():
+    # G G F q cost one scan per nesting level per state with a recursive
+    # evaluator; with one pass per operator 20,000 states take milliseconds
+    length = 20_000
+    states = tuple(frozenset("q" if k % 7 == 0 or k == length - 1 else "p")
+                   for k in range(length))
+    trace = TimedHTTrace(states, states, tuple(range(length)))
+
+    def too_slow(signum, frame):
+        raise TimeoutError("mht_sat took over 20 s on a 20,000-state trace")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(20)
+    try:
+        for text in ("G G F q", "G (p U q)", "H O q"):
+            assert mht_sat(trace, 0, parse_formula(text)), text
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
