@@ -64,7 +64,7 @@ def cmd_check(args) -> int:
     trace, _ = _load(args.trace, lambda text: trace_from_json(json.loads(text)))
     if not 0 <= args.at < trace.length:
         raise ValueError(f"state index {args.at} out of range")
-    program, failing = Program(theory.formulas, trace.times, trace.is_total()), None
+    program, failing = Program(theory.formulas, trace.times), None
     for i, ok in enumerate(program.verdicts(trace.here, trace.there, args.at), start=1):
         print(f"formula {i}: {'SAT' if ok else 'UNSAT'}")  # as soon as it is decided
         failing = failing or (None if ok else i)

@@ -4,19 +4,20 @@ A total trace is in equilibrium for a theory when no strictly smaller
 here-component still satisfies the theory.  Both the model search and the
 equivalence check are exhaustive over a finite bounded trace space, so a
 negative answer is definitive while a positive one holds within the bounds.
-The refinement scan and the equivalence check decide a whole chunk of traces
-per evaluation (`semantics.first_trace`).
+Each search compiles one `semantics.Program` per region class; the refinement
+scan and the equivalence check run it on a whole chunk of traces at once
+(`semantics.first_trace`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .semantics import Program, first_trace, is_model, mht_sat
+from .semantics import Program, first_trace
+from .semantics import is_model, mht_sat  # noqa: F401  (wrapped by bench/tracer.py)
 from .syntax import Theory
 from .traces import EnumerationBounds, TimedHTTrace, region_keys, state_sequences
-# bench/tracer.py wraps these two here
-from .traces import enumerate_total_traces, refinements  # noqa: F401
+from .traces import enumerate_total_traces, refinements  # noqa: F401  (bench/tracer.py)
 
 
 @dataclass(frozen=True)
@@ -33,28 +34,30 @@ class EquivVerdict:
     counterexample: tuple[TimedHTTrace, int, str] | None = None
 
 
-def _first_smaller_model(total: TimedHTTrace, theory: Theory) -> TimedHTTrace | None:
-    """The first refinement of a total trace, in `refinements` order, that is a model.
+def _first_smaller_model(program: Program, there: tuple) -> TimedHTTrace | None:
+    """The first strict refinement of the total trace (there, program.tau), in
+    `refinements` order, that models every root of the program.
 
     The total itself has the highest index of its refinement space.
     """
-    alphabet = tuple(sorted(frozenset().union(*total.there)))
-    smaller = first_trace(alphabet, total.times, lambda models: models(theory), total.there)
-    return None if smaller is None or smaller.here == total.there else smaller
+    alphabet = tuple(sorted(frozenset().union(*there)))
+    smaller = first_trace(program, alphabet, lambda sat: sat(program.roots), there)
+    return None if smaller is None or smaller.here == there else smaller
 
 
 def is_equilibrium(trace: TimedHTTrace, theory: Theory) -> EquilibriumVerdict:
     """Scan refinements in order; the first satisfying one is the witness."""
     if not trace.is_total():
         raise ValueError("equilibrium is defined for total traces")
-    if not is_model(trace, theory):
+    program = Program(theory.formulas, trace.times)
+    if not all(program.verdicts(trace.here, trace.there)):
         raise ValueError("the trace is not a model of the theory")
-    witness = _first_smaller_model(trace, theory)
+    witness = _first_smaller_model(program, trace.there)
     return EquilibriumVerdict(witness is None, witness)
 
 
-def _replayed(theory: Theory, bounds: EnumerationBounds, keep=None) -> list[TimedHTTrace]:
-    """The total models within bounds that `keep` (if given) accepts, in enumeration order.
+def _replayed(theory: Theory, bounds: EnumerationBounds, equilibrium: bool) -> list[TimedHTTrace]:
+    """The total models within bounds (those in equilibrium if asked), in enumeration order.
 
     Each region class compiles the theory once, against its first time map, and
     runs every state sequence through it; later members replay the accepted ones."""
@@ -65,14 +68,14 @@ def _replayed(theory: Theory, bounds: EnumerationBounds, keep=None) -> list[Time
             program = Program(theory.formulas, times)
             found[key] = [states for states in state_sequences(bounds.alphabet, len(times))
                           if all(program.verdicts(states, states))
-                          and (keep is None or keep(TimedHTTrace(states, states, times)))]
+                          and not (equilibrium and _first_smaller_model(program, states))]
         models += (TimedHTTrace(states, states, times) for states in found[key])
     return models
 
 
 def enumerate_models(theory: Theory, bounds: EnumerationBounds) -> list[TimedHTTrace]:
     """All total models within bounds, in enumeration order."""
-    return _replayed(theory, bounds)
+    return _replayed(theory, bounds, False)
 
 
 def enumerate_equilibrium(theory: Theory, bounds: EnumerationBounds) -> list[TimedHTTrace]:
@@ -81,7 +84,7 @@ def enumerate_equilibrium(theory: Theory, bounds: EnumerationBounds) -> list[Tim
     Strict bounds enumerate only strict traces, whose refinements are strict
     too, so the strictness axiom holds throughout and is not added.
     """
-    return _replayed(theory, bounds, lambda total: _first_smaller_model(total, theory) is None)
+    return _replayed(theory, bounds, True)
 
 
 def bounded_equiv(left: Theory, right: Theory, bounds: EnumerationBounds) -> EquivVerdict:
@@ -92,23 +95,25 @@ def bounded_equiv(left: Theory, right: Theory, bounds: EnumerationBounds) -> Equ
     reported counterexample is definitive; 'equivalent' only means no
     difference exists inside the bounded space.  Only the first time map of
     each region class (over both theories) is searched: a later member shows
-    a difference only if that first one already did.
+    a difference only if that first one already did.  One program per class
+    holds both theories.
     """
-    searched = set()
+    searched, split = set(), len(left.formulas)
     for times, key in region_keys(bounds, left.formulas + right.formulas):
         if key in searched:
             continue
         searched.add(key)
-        trace = first_trace(bounds.alphabet, times,
-                            lambda models: models(left) ^ models(right))
+        program = Program(left.formulas + right.formulas, times)
+        lhs, rhs = program.roots[:split], program.roots[split:]
+        trace = first_trace(program, bounds.alphabet, lambda sat: sat(lhs) ^ sat(rhs))
         if trace is None:
             continue
         # the total comes before its refinements, though its index is higher
-        total = TimedHTTrace(trace.there, trace.there, times)
-        if is_model(total, left) != is_model(total, right):
-            trace = total
-        side, failing = ("right", right) if is_model(trace, left) else ("left", left)
-        index = next(i for i, phi in enumerate(failing.formulas)
-                     if not mht_sat(trace, 0, phi))
-        return EquivVerdict(False, (trace, index, side))
+        for trace in (TimedHTTrace(trace.there, trace.there, times), trace):
+            values = program.values(trace.here, trace.there)
+            held = [values[root] & 1 for root in program.roots]
+            if all(held[:split]) != all(held[split:]):
+                break
+        side, failing = ("right", held[split:]) if all(held[:split]) else ("left", held[:split])
+        return EquivVerdict(False, (trace, failing.index(0), side))
     return EquivVerdict(True, None)

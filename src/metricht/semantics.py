@@ -2,17 +2,18 @@
 
 Implication is evaluated in both the here-world and the there-world (on a
 total trace they coincide: plain metric LTL).  `Program` compiles a theory
-against one time map into a post-order list of its distinct subformulas; on
-a trace each node gets an int whose bit k is its truth at state k, so one
+against one time map into a post-order list of its distinct subformulas.  Run
+on one trace, each node gets an int whose bit k is its truth at state k: one
 pass, linear per unbounded operator and O(L*W) per windowed one (W the states
-a window spans), decides the whole trace.  `_table` runs many traces at once
-instead (truth tables in ints, Knuth, TAOCP 4A 7.1).
+a window spans).  Run on a chunk of `ht_tables` traces, a node at state k gets
+an int whose bit i is its truth on trace i (Knuth, TAOCP 4A 7.1).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import partial
+from collections import defaultdict
+from functools import cache
 from typing import Iterator
 
 from .syntax import (
@@ -30,13 +31,11 @@ class Program:
     `nodes` holds (kind, detail, lhs, rhs) per subformula: the formula class,
     the atom name or window (lower, upper) and the operands' node numbers;
     `roots` holds each formula's node.  Masks are built on first use and kept.
-    Non-total traces run both worlds at once: here in bits [0, n), there in
-    [2n, 3n); no shift spans the zeros between them."""
+    Both runs follow one world rule: the there-world is evaluated first, and a
+    here-world implication also needs the there-world's value of its node."""
 
-    def __init__(self, formulas, tau: tuple[int, ...], total: bool = True):
-        self.tau, self.shift, self._masks = tau, 0 if total else 2 * len(tau), {}
-        self.lanes = 1 | 1 << self.shift  # times a one-world mask: its copy in every world
-        self.full = ((1 << len(tau)) - 1) * self.lanes
+    def __init__(self, formulas, tau: tuple[int, ...]):
+        self.tau, self.full, self._masks = tau, (1 << len(tau)) - 1, {}
         number, seen = {}, {}  # node -> its number in post-order; id(subformula) -> number
 
         def visit(phi: Formula) -> int:
@@ -57,13 +56,22 @@ class Program:
         self.roots = [visit(phi) for phi in formulas]
         self.nodes = list(number)
 
-    def values(self, here: tuple, there: tuple, out=None, stop=None) -> list[int]:
-        """Each node's bits on this trace, extending `out` up to node `stop`;
-        a program for total traces reads only `there`."""
-        full, shift, out = self.full, self.shift, [] if out is None else out
-        upper = full >> shift << shift  # the there-world bits (all bits when total)
-        # the states from the highest bit down: both worlds and the zeros between
-        states = there[::-1] + (frozenset(),) * (shift // 2) + here[::-1] if shift else there[::-1]
+    def values(self, here: tuple, there: tuple) -> list[int]:
+        """Each node's bits in this trace's here-world, run after its there-world."""
+        upper = self._run(there, [])
+        return upper if here == there else self._run(here, [], None, upper)
+
+    def verdicts(self, here, there, k: int = 0) -> Iterator[bool]:
+        """Each formula's truth at state k in turn, evaluating the nodes it needs then."""
+        upper, out = None if here == there else [], []
+        for root in self.roots:
+            if upper is not None:
+                self._run(there, upper, root + 1)
+            yield self._run(here, out, root + 1, upper)[root] >> k & 1 == 1
+
+    def _run(self, states: tuple, out: list[int], stop=None, upper=None) -> list[int]:
+        """One world's bits per node up to `stop`; `upper` holds the there-world's."""
+        full, states = self.full, states[::-1]  # the states from the highest bit down
         for kind, detail, a, b in self.nodes[len(out):stop]:
             if kind is Atom:
                 value = int("".join(["1" if detail in s else "0" for s in states]), 2)
@@ -73,7 +81,8 @@ class Program:
                 value = out[a] | out[b]
             elif kind is Implies:
                 value = full & ~(out[a] & ~out[b])
-                value &= value >> shift | upper  # here-world bits ask the there-world too
+                if upper is not None:  # this node's there-world value
+                    value &= upper[len(out)]
             elif kind is Bottom:
                 value = 0
             elif kind is Next or kind is Prev:
@@ -84,15 +93,56 @@ class Program:
             out.append(value)
         return out
 
-    def verdicts(self, here, there, k: int = 0) -> Iterator[bool]:
-        """Each formula's truth at state k in turn, evaluating the nodes it needs then."""
-        out: list[int] = []
-        return (self.values(here, there, out, root + 1)[root] >> k & 1 == 1 for root in self.roots)
+    def chunk(self, node: int, k: int, here: dict, there: dict, full: int) -> int:
+        """Bit i: trace i of a chunk satisfies the node at state k, on demand.
+
+        here/there map each atom to its per-state cell masks (`ht_tables`); an
+        atom without cells is false everywhere.  ``here is there`` marks the there-world."""
+        kind, detail, a, b = self.nodes[node]
+        if kind is Atom:
+            cells = here.get(detail)
+            return cells[k] if cells else 0
+        if kind is And:
+            lhs = self.chunk(a, k, here, there, full)
+            return lhs and lhs & self.chunk(b, k, here, there, full)
+        if kind is Or:
+            lhs = self.chunk(a, k, here, there, full)
+            return full if lhs == full else lhs | self.chunk(b, k, here, there, full)
+        if kind is Implies:
+            out = self.chunk(a, k, here, there, full)
+            out = full ^ (out & ~self.chunk(b, k, here, there, full))
+            if out and here is not there:
+                out &= self.chunk(node, k, there, there, full)
+            return out
+        if kind is Bottom:
+            return 0
+        (lower, upper), tau = detail, self.tau
+        if kind is Next or kind is Prev:
+            j = k + 1 if kind is Next else k - 1
+            d = abs(tau[j] - tau[k]) if 0 <= j < len(tau) else -1
+            inside = lower <= d and (upper is None or d < upper)
+            return self.chunk(a, j, here, there, full) if inside else 0
+        # `pending` holds the undecided traces; R/T are U/S on complemented operands
+        flip = full if kind is Release or kind is Trigger else 0
+        out, pending = 0, full
+        for j in range(k, len(tau)) if kind is Until or kind is Release else range(k, -1, -1):
+            d = abs(tau[j] - tau[k])
+            if upper is not None and d >= upper:
+                break
+            if d >= lower:
+                rhs = self.chunk(b, j, here, there, full) ^ flip
+                out |= pending & rhs
+                pending &= ~rhs
+            if pending:
+                pending &= self.chunk(a, j, here, there, full) ^ flip
+            if not pending:
+                break
+        return out ^ flip
 
     def _gaps(self, window: tuple[int, int | None]) -> int:
         """Bit k: state k + 1 lies within the window of state k (the scan's offset 1)."""
-        masks, unbounded = self._window(window, True), window[1] is None  # open past masks
-        return masks[1][0] if len(masks) > 1 else (self.full >> 1 & self.full) * unbounded
+        masks = self._window(window, True)
+        return masks[1][0] if len(masks) > 1 else self.full >> 1 if window[1] is None else 0
 
     def _binary(self, kind, window: tuple[int, int | None], lhs: int, rhs: int) -> int:
         """U/S: some j in the window has rhs, and lhs from k up to but not at j.
@@ -126,7 +176,8 @@ class Program:
         if (window, future) in self._masks:
             return self._masks[window, future]
         (lo, hi), tau, n = window, self.tau, len(self.tau)
-        opened, closed, last = [0] * (n + 1), [0] * (n + 1), 0
+        zero = bytearray(n + 7 >> 3)  # a bit per state, set in place: no int rebuilt per state
+        opened, closed = defaultdict(zero.copy), defaultdict(zero.copy)  # offset -> those states
         for k, t in enumerate(tau if lo or hi is not None else ()):
             if future:  # the window of k opens at offset a and closes at b
                 a = bisect_left(tau, t + lo, k) - k
@@ -134,22 +185,22 @@ class Program:
             else:
                 a = k + 1 - bisect_right(tau, t - lo, 0, k + 1)
                 b = k + 1 if hi is None else k + 1 - bisect_right(tau, t - hi, 0, k + 1)
-            opened[a] |= 1 << k
-            closed[b] |= 1 << k
-            last = max(last, b if hi is not None else min(a, b))
-        masks, entered, alive = [], 0, (1 << n) - 1
-        for d in range(last):
-            entered, alive = entered | opened[d], alive & ~closed[d]
-            masks.append(((entered & alive) * self.lanes, alive * self.lanes))
+            opened[a][k >> 3] |= 1 << (k & 7)
+            closed[b][k >> 3] |= 1 << (k & 7)
+        masks, entered, alive = [], 0, self.full  # unbounded, a <= b: the last open ends it
+        for d in range(max(closed if hi is not None else opened, default=0)):
+            entered |= int.from_bytes(opened.get(d, b""), "little")
+            alive &= ~int.from_bytes(closed.get(d, b""), "little")
+            masks.append((entered & alive, alive))
         self._masks[window, future] = masks
         return masks
 
 
 def state_bits(trace: TimedHTTrace, formulas) -> list[int]:
     """Each formula's truth at every state of the trace, bit k for state k, in one pass."""
-    program = Program(formulas, trace.times, trace.is_total())
-    values, states = program.values(trace.here, trace.there), (1 << trace.length) - 1
-    return [values[root] & states for root in program.roots]
+    program = Program(formulas, trace.times)
+    values = program.values(trace.here, trace.there)
+    return [values[root] for root in program.roots]
 
 
 def mht_sat(trace: TimedHTTrace, k: int, phi: Formula) -> bool:
@@ -159,66 +210,13 @@ def mht_sat(trace: TimedHTTrace, k: int, phi: Formula) -> bool:
     return state_bits(trace, (phi,))[0] >> k & 1 == 1
 
 
-def _table(here: dict[str, list[int]], there: dict[str, list[int]], tau: tuple[int, ...],
-           full: int, k: int, phi: Formula) -> int:
-    """Satisfaction on a chunk of traces: bit i is set when trace i satisfies phi at state k.
-
-    here/there map each atom to its per-state cell masks (`ht_tables`); an atom
-    without cells is false everywhere.  ``here is there`` marks the there-world.
-    """
-    lam = len(tau)
-    if isinstance(phi, Bottom):
-        return 0
-    if isinstance(phi, Atom):
-        cells = here.get(phi.name)
-        return cells[k] if cells else 0
-    if isinstance(phi, And):
-        lhs = _table(here, there, tau, full, k, phi.lhs)
-        return lhs and lhs & _table(here, there, tau, full, k, phi.rhs)
-    if isinstance(phi, Or):
-        lhs = _table(here, there, tau, full, k, phi.lhs)
-        return full if lhs == full else lhs | _table(here, there, tau, full, k, phi.rhs)
-    if isinstance(phi, Implies):
-        out = full ^ (_table(here, there, tau, full, k, phi.lhs)
-                      & ~_table(here, there, tau, full, k, phi.rhs))
-        if out and here is not there:
-            out &= _table(there, there, tau, full, k, phi)
-        return out
-    if isinstance(phi, Next):
-        return _table(here, there, tau, full, k + 1, phi.arg) \
-            if k + 1 < lam and phi.interval.contains(tau[k + 1] - tau[k]) else 0
-    if isinstance(phi, Prev):
-        return _table(here, there, tau, full, k - 1, phi.arg) \
-            if k > 0 and phi.interval.contains(tau[k] - tau[k - 1]) else 0
-    if isinstance(phi, (Until, Release, Since, Trigger)):
-        # a window scan over all traces: `pending` holds the undecided ones.  R/T
-        # run U/S's scan on complemented operands and complement the verdict.
-        flip = 0 if isinstance(phi, (Until, Since)) else full
-        step = 1 if isinstance(phi, (Until, Release)) else -1
-        lower, upper = phi.interval.lower, phi.interval.upper
-        out, pending = 0, full
-        for j in range(k, lam if step == 1 else -1, step):
-            d = abs(tau[j] - tau[k])
-            if upper is not None and d >= upper:
-                break
-            if d >= lower:
-                rhs = _table(here, there, tau, full, j, phi.rhs) ^ flip
-                out |= pending & rhs
-                pending &= ~rhs
-            if pending:
-                pending &= _table(here, there, tau, full, j, phi.lhs) ^ flip
-            if not pending:
-                break
-        return out ^ flip
-    raise TypeError(f"not a formula node: {phi!r}")
-
-
-def _bit_masks(width: int) -> list[int]:
+@cache
+def _bit_masks(width: int) -> tuple[int, ...]:
     """Mask b has bit i set exactly when bit b of i is set, for every i < 2**width."""
-    masks: list[int] = []
+    masks: tuple[int, ...] = ()
     for b in range(width):  # double the span of the masks so far, add the top one
         span = 1 << b
-        masks = [mask | mask << span for mask in masks] + [((1 << span) - 1) << span]
+        masks = tuple(mask | mask << span for mask in masks) + (((1 << span) - 1) << span,)
     return masks
 
 
@@ -233,9 +231,9 @@ def _layout(alphabet: tuple[str, ...], there: tuple[frozenset[str], ...] | None,
     return atoms, offsets, bits
 
 
-def ht_tables(alphabet: tuple[str, ...], tau: tuple[int, ...],
+def ht_tables(program: Program, alphabet: tuple[str, ...],
               there: tuple[frozenset[str], ...] | None = None) -> Iterator[tuple]:
-    """The HT traces with time map tau, in chunks of at most 2**WIDTH, ascending.
+    """The HT traces with the program's time map, in chunks of at most 2**WIDTH, ascending.
 
     Here-state k owns a bit per atom of the alphabet or, when `there` fixes the
     there-states (the alphabet holding their atoms), per atom of there[k];
@@ -243,18 +241,18 @@ def ht_tables(alphabet: tuple[str, ...], tau: tuple[int, ...],
     k.  Free there-cells sit above all here-bits in the same layout.
     Ascending index order is then enumeration order: each there-sequence as
     in `state_sequences`, and within it the here-sequences as in
-    `refinements`.  Yields (first index, valid, table) per chunk: bit i of
+    `refinements`.  Yields (first index, valid, cells) per chunk: bit i of
     valid is set when here is included in there at index first + i, and
-    table(k, phi) has bit i set when that trace satisfies phi at state k.
+    `program.chunk(node, k, *cells)` evaluates a node on the chunk.
     """
-    lam = len(tau)
+    lam = len(program.tau)
     atoms, offsets, here_bits = _layout(alphabet, there, lam)
     bits = here_bits * (2 if there is None else 1)
     width = min(bits, WIDTH)
     full = (1 << (1 << width)) - 1
     masks = _bit_masks(width)
 
-    def world(cells: list[int], base: int) -> dict[str, list[int]]:
+    def world(cells: tuple[int, ...], base: int) -> dict[str, list[int]]:
         out = {a: [0] * lam for a in alphabet}
         for k, (state, offset) in enumerate(zip(atoms, offsets)):
             for i, a in enumerate(state):
@@ -262,7 +260,7 @@ def ht_tables(alphabet: tuple[str, ...], tau: tuple[int, ...],
         return out
 
     for chunk in range(1 << (bits - width)):
-        cells = masks + [full if chunk >> b & 1 else 0 for b in range(bits - width)]
+        cells = masks + tuple(full if chunk >> b & 1 else 0 for b in range(bits - width))
         here, valid = world(cells, 0), full
         if there is None:
             upper = world(cells, here_bits)
@@ -271,7 +269,7 @@ def ht_tables(alphabet: tuple[str, ...], tau: tuple[int, ...],
                     valid &= ~(h & ~t)
         else:  # every index is a refinement of there
             upper = {a: [full if a in state else 0 for state in there] for a in alphabet}
-        yield chunk << width, valid, partial(_table, here, upper, tau, full)
+        yield chunk << width, valid, (here, upper, full)
 
 
 def ht_trace(index: int, alphabet: tuple[str, ...], tau: tuple[int, ...],
@@ -287,30 +285,26 @@ def ht_trace(index: int, alphabet: tuple[str, ...], tau: tuple[int, ...],
                         else states(index >> here_bits), tau)
 
 
-def first_trace(alphabet: tuple[str, ...], tau: tuple[int, ...], select,
+def first_trace(program: Program, alphabet: tuple[str, ...], select,
                 there: tuple[frozenset[str], ...] | None = None) -> TimedHTTrace | None:
-    """The `ht_tables` trace of lowest index whose bit select(models) sets, if any.
-
-    models(theory) has the bits of a chunk's valid traces that satisfy every
-    formula of the theory at state 0.
-    """
-    for base, valid, table in ht_tables(alphabet, tau, there):
-        def models(theory: Theory) -> int:
+    """The `ht_tables` trace of lowest index whose bit select(sat) sets, if any;
+    sat(roots) has the bits of a chunk's valid traces where those roots hold at state 0."""
+    for base, valid, cells in ht_tables(program, alphabet, there):
+        def sat(roots) -> int:
             out = valid
-            for phi in theory.formulas:
-                out = out and out & table(0, phi)
+            for root in roots:
+                out = out and out & program.chunk(root, 0, *cells)
             return out
 
-        bits = select(models)
+        bits = select(sat)
         if bits:
-            return ht_trace(base + (bits & -bits).bit_length() - 1, alphabet, tau, there)
+            return ht_trace(base + (bits & -bits).bit_length() - 1, alphabet, program.tau, there)
     return None
 
 
 def is_model(trace: TimedHTTrace, theory: Theory) -> bool:
     """Does the trace satisfy every formula of the theory at state 0?"""
-    program = Program(theory.formulas, trace.times, trace.is_total())
-    return all(program.verdicts(trace.here, trace.there))
+    return all(Program(theory.formulas, trace.times).verdicts(trace.here, trace.there))
 
 
 def em_theory(alphabet) -> Theory:

@@ -6,6 +6,8 @@ from itertools import chain, islice
 
 import pytest
 
+import metricht.equilibrium
+import metricht.semantics
 from conftest import gen_formula, make_trace
 from metricht.equilibrium import (
     EquivVerdict, bounded_equiv, enumerate_equilibrium, enumerate_models, is_equilibrium,
@@ -230,7 +232,7 @@ def _plain_equiv(left, right, bounds):
     for total in enumerate_total_traces(bounds):
         if total.times != times:
             times = total.times
-            program = Program(left.formulas + right.formulas, times, total=False)
+            program = Program(left.formulas + right.formulas, times)
         for trace in chain((total,), refinements(total)):
             values = program.values(trace.here, trace.there)
             verdicts = [values[root] & 1 for root in program.roots]
@@ -319,7 +321,7 @@ def test_refinement_scan_indexes_only_the_atoms_of_the_total():
     # 14 states holding one atom each out of 4: the scan indexes the 2**14
     # refinements in one chunk, not 2**56 indices (every atom in every state)
     total = total_trace([{"pqrs"[k % 4]} for k in range(14)], range(14))
-    chunks = islice(ht_tables(total.atoms(), total.times, total.there), 2)
+    chunks = islice(ht_tables(Program((), total.times), total.atoms(), total.there), 2)
     assert [(base, valid) for base, valid, _ in chunks] == [(0, (1 << 2 ** 14) - 1)]
 
     def too_slow(signum, frame):
@@ -350,3 +352,39 @@ def test_equiv_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+def test_searches_compile_one_program_per_region_class(monkeypatch):
+    # every compile counts, the one-off is_model / mht_sat ones included
+    built = []
+
+    class Counting(Program):
+        def __init__(self, formulas, tau):
+            built.append(tau)
+            super().__init__(formulas, tau)
+
+    monkeypatch.setattr(metricht.equilibrium, "Program", Counting)
+    monkeypatch.setattr(metricht.semantics, "Program", Counting)
+    bounds = EnumerationBounds(("p", "q"), 3, 5)
+    left = parse_theory("G (p -> F[1..3) q)")
+    for right in (Theory(left.formulas * 2), parse_theory("G (p -> F[1..2) q)")):
+        both = left.formulas + right.formulas
+        classes = list(dict.fromkeys(key for _, key in region_keys(bounds, both)))
+        built.clear()
+        verdict = bounded_equiv(left, right, bounds)
+        searched = classes
+        if not verdict.equivalent:  # the search stops at the counterexample's class
+            key = next(key for times, key in region_keys(bounds, both)
+                       if times == verdict.counterexample[0].times)
+            searched = classes[:classes.index(key) + 1]
+            assert len(searched) > 1
+        assert len(built) == len(searched)
+    assert not verdict.equivalent
+    built.clear()
+    models = enumerate_equilibrium(WITH_PUSH, EnumerationBounds(TRAFFIC_ATOMS, 3, 8))
+    assert models
+    assert len(built) == len({key for _, key in region_keys(EnumerationBounds(
+        TRAFFIC_ATOMS, 3, 8), WITH_PUSH.formulas)})
+    built.clear()
+    is_equilibrium(models[0], WITH_PUSH)
+    assert built == [models[0].times]

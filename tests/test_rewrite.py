@@ -332,7 +332,7 @@ def test_strict_passes_exhaustively_on_small_space():
     programs = {}  # one per time map, run on each of its traces
     for here, there, times in oracle.bounded_space(("p", "q"), 3, 3, strict=True):
         if times not in programs:
-            programs[times] = Program(battery + rewritten, times, total=False)
+            programs[times] = Program(battery + rewritten, times)
         program = programs[times]
         values = program.values(here, there)
         # bit k of each int is the verdict at state k, so every state is compared

@@ -202,37 +202,61 @@ def _every_connective_to_depth_two():
 
 def test_tables_match_oracle_exhaustively():
     # every time map over {p, q} with L <= 3 and final time <= 4, strict ones
-    # included: bit i of table(k, phi) is the oracle's verdict on trace i at k,
-    # and so is bit k of the compiled program's value of phi on trace i
+    # included: bit i of the chunk run of phi's node at k is the oracle's
+    # verdict on trace i at k, and so is bit k of phi's node in the
+    # there-then-here `values` run on trace i
     formulas = _every_connective_to_depth_two()
     atoms = ("p", "q")
     checked = 0
     for times in {times for _, _, times in oracle.bounded_space(atoms, 3, 4, strict=False)}:
-        program = Program(formulas, times, total=False)  # one per time map
-        one_world = Program(formulas, times)
-        for base, valid, table in ht_tables(atoms, times):
+        program = Program(formulas, times)  # one per time map, for both runs
+        for base, valid, cells in ht_tables(program, atoms):
             traces = [(i, ht_trace(base + i, atoms, times))
                       for i in range(valid.bit_length()) if valid >> i & 1]
             # every HT trace with this time map, once, here != there included
             assert len({(t.here, t.there) for _, t in traces}) == 3 ** (2 * len(times))
-            compiled = []
-            for _, t in traces:
-                values = program.values(t.here, t.there)
-                compiled.append([values[root] for root in program.roots])
-                if t.here == t.there:  # the one-world program agrees on total traces
-                    values = one_world.values(t.there, t.there)
-                    here_world = (1 << len(times)) - 1
-                    assert [values[root] for root in one_world.roots] == \
-                        [bits & here_world for bits in compiled[-1]]
-            for n, phi in enumerate(formulas):
+            compiled = [program.values(t.here, t.there) for _, t in traces]
+            for phi, root in zip(formulas, program.roots):
                 for k in range(len(times)):
-                    bits = table(k, phi)
-                    for (i, t), states in zip(traces, compiled):
+                    bits = program.chunk(root, k, *cells)
+                    for (i, t), values in zip(traces, compiled):
                         expected = oracle.sat(t.here, t.there, times, k, phi)
                         assert (bits >> i & 1) == expected, (format_formula(phi), t, k)
-                        assert (states[n] >> k & 1) == expected, (format_formula(phi), t, k)
+                        assert (values[root] >> k & 1) == expected, (format_formula(phi), t, k)
                         checked += 1
     assert checked == 941_472
+
+
+def test_window_masks_match_tau_differences():
+    # per offset d, the states k whose state j = k + d (future) or k - d (past)
+    # lies within the window, and those whose window is still open at j; on
+    # random strict and non-strict time maps of up to 100 states
+    rng = random.Random(21)
+    windows = [(0, None), (1, None), (3, None), (0, 1), (0, 4), (2, 5), (1, 2), (4, 30)]
+    for steps in ((1, 1, 2, 3), (0, 0, 1, 2)):
+        for _ in range(12):
+            times = [0]
+            for _ in range(rng.randint(0, 99)):
+                times.append(times[-1] + rng.choice(steps))
+            program, n = Program((), tuple(times)), len(times)
+            for window, future in [(w, f) for w in windows for f in (True, False)]:
+                lo, hi = window
+
+                def reference(d):
+                    inside = alive = 0
+                    for k in range(n):
+                        j = k + d if future else k - d
+                        gap = abs(times[j] - times[k]) if 0 <= j < n else None
+                        if gap is not None and (hi is None or gap < hi):
+                            alive |= 1 << k
+                            inside |= (gap >= lo) << k
+                    return inside, alive
+
+                masks = program._window(window, future)
+                assert masks == [reference(d) for d in range(len(masks))], (times, window, future)
+                # the list ends once every window is closed, or every open one entered
+                inside, alive = reference(len(masks))
+                assert (alive if hi is not None else alive & ~inside) == 0, (times, window, future)
 
 
 def test_program_matches_oracle_on_traces_longer_than_a_word():
