@@ -17,7 +17,7 @@ from .equilibrium import bounded_equiv, enumerate_equilibrium, enumerate_models
 from .parser import parse_formula, parse_theory
 from .rewrite import PASSES, range_split
 from .semantics import Program, is_model, mht_sat  # noqa: F401  (wrapped by bench/tracer.py)
-from .syntax import Formula, format_formula
+from .syntax import Formula, format_formula, operands, postorder
 from .traces import EnumerationBounds, trace_from_json, trace_to_json
 from .traces import enumerate_total_traces  # noqa: F401  (bench/tracer.py wraps it here)
 
@@ -64,8 +64,9 @@ def cmd_check(args) -> int:
     trace, _ = _load(args.trace, lambda text: trace_from_json(json.loads(text)))
     if not 0 <= args.at < trace.length:
         raise ValueError(f"state index {args.at} out of range")
-    program, failing = Program(theory.formulas, trace.times), None
-    for i, ok in enumerate(program.verdicts(trace.here, trace.there, args.at), start=1):
+    program, failing = Program(theory.formulas).at(trace.times), None
+    for i, bits in enumerate(program.bits(trace.here, trace.there), start=1):
+        ok = bits >> args.at & 1
         print(f"formula {i}: {'SAT' if ok else 'UNSAT'}")  # as soon as it is decided
         failing = failing or (None if ok else i)
     print("SAT" if failing is None else f"UNSAT(formula {failing})")
@@ -98,21 +99,13 @@ MAX_REWRITE_NODES = 1_000_000  # `p U[0..18) q` unfolds to 524,286 nodes, [0..19
 
 
 def _tree_size(phi: Formula) -> int:
-    """Nodes of phi as printed, a shared subformula once per use; iterative, memo by id."""
+    """Nodes of phi as printed, a shared subformula once per use."""
     sizes: dict[int, int] = {}
-    stack = [phi]
-    while stack:
-        size, ready = 1, True
-        for part in vars(stack[-1]).values():
-            if isinstance(part, Formula):
-                known = sizes.get(id(part))
-                if known is None:
-                    stack.append(part)
-                    ready = False
-                else:
-                    size += known
-        if ready:
-            sizes[id(stack.pop())] = size
+    for part in postorder((phi,)):
+        size = 1
+        for sub in operands(part):
+            size += sizes[id(sub)]
+        sizes[id(part)] = size
     return sizes[id(phi)]
 
 
@@ -138,17 +131,14 @@ def cmd_rewrite(args) -> int:
         print(f"error: the rewritten formula has {size:,} nodes, above the bound of "
               f"{MAX_REWRITE_NODES:,}", file=sys.stderr)
         return 1
-    try:
-        text = format_formula(result)
-    except RecursionError:  # the input was shallow enough to parse; the result is not
-        print("error: the rewritten formula is nested too deeply to print", file=sys.stderr)
-        return 1
-    print(text)
+    print(format_formula(result))
     return 0
 
 
 def cmd_translate(args) -> int:
     phi = _naming("--formula", parse_formula, args.formula)
+    if args.at < 0:  # the sentence would not parse back
+        raise ValueError(f"--at: the anchor time point must be a natural number, got {args.at}")
     try:
         sentence = fom.translate(phi, args.at)
     except ValueError as exc:
@@ -246,7 +236,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # ParseError and JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:  # every stage, from parser to semantics, recurses on the tree
+    except RecursionError:  # the parser, the rewrite passes, fom and Program.chunk recurse
         files = ", ".join(getattr(args, a) for a in ("theory", "left", "right", "sentence")
                           if hasattr(args, a))
         print(f"error: {files or '--formula'}: formula nested too deeply", file=sys.stderr)

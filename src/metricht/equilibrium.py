@@ -4,16 +4,16 @@ A total trace is in equilibrium for a theory when no strictly smaller
 here-component still satisfies the theory.  Both the model search and the
 equivalence check are exhaustive over a finite bounded trace space, so a
 negative answer is definitive while a positive one holds within the bounds.
-Each search compiles one `semantics.Program` per region class; the refinement
-scan and the equivalence check run it on a whole chunk of traces at once
-(`semantics.first_trace`).
+Each search compiles one `semantics.Program` and binds it to one time map per
+region class; the refinement scan and the equivalence check run it on a whole
+chunk of traces at once (`semantics.first_trace`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .semantics import Program, first_trace
+from .semantics import Program, first_bit, first_trace
 from .semantics import is_model, mht_sat  # noqa: F401  (wrapped by bench/tracer.py)
 from .syntax import Theory
 from .traces import EnumerationBounds, TimedHTTrace, region_keys, state_sequences
@@ -49,8 +49,8 @@ def is_equilibrium(trace: TimedHTTrace, theory: Theory) -> EquilibriumVerdict:
     """Scan refinements in order; the first satisfying one is the witness."""
     if not trace.is_total():
         raise ValueError("equilibrium is defined for total traces")
-    program = Program(theory.formulas, trace.times)
-    if not all(program.verdicts(trace.here, trace.there)):
+    program = Program(theory.formulas).at(trace.times)
+    if not all(map(first_bit, program.bits(trace.here, trace.there))):
         raise ValueError("the trace is not a model of the theory")
     witness = _first_smaller_model(program, trace.there)
     return EquilibriumVerdict(witness is None, witness)
@@ -59,16 +59,16 @@ def is_equilibrium(trace: TimedHTTrace, theory: Theory) -> EquilibriumVerdict:
 def _replayed(theory: Theory, bounds: EnumerationBounds, equilibrium: bool) -> list[TimedHTTrace]:
     """The total models within bounds (those in equilibrium if asked), in enumeration order.
 
-    Each region class compiles the theory once, against its first time map, and
-    runs every state sequence through it; later members replay the accepted ones."""
+    The theory, compiled once, is bound to each region class's first time map
+    to run every state sequence; later members replay the accepted ones."""
     found: dict[tuple, list] = {}
-    models = []
+    models, program = [], Program(theory.formulas)
     for times, key in region_keys(bounds, theory.formulas):
         if key not in found:
-            program = Program(theory.formulas, times)
+            timed = program.at(times)
             found[key] = [states for states in state_sequences(bounds.alphabet, len(times))
-                          if all(program.verdicts(states, states))
-                          and not (equilibrium and _first_smaller_model(program, states))]
+                          if all(map(first_bit, timed.bits(states, states)))
+                          and not (equilibrium and _first_smaller_model(timed, states))]
         models += (TimedHTTrace(states, states, times) for states in found[key])
     return models
 
@@ -95,23 +95,23 @@ def bounded_equiv(left: Theory, right: Theory, bounds: EnumerationBounds) -> Equ
     reported counterexample is definitive; 'equivalent' only means no
     difference exists inside the bounded space.  Only the first time map of
     each region class (over both theories) is searched: a later member shows
-    a difference only if that first one already did.  One program per class
-    holds both theories.
+    a difference only if that first one already did.  One program, compiled
+    once, holds both theories.
     """
     searched, split = set(), len(left.formulas)
+    program = Program(left.formulas + right.formulas)
+    lhs, rhs = program.roots[:split], program.roots[split:]
     for times, key in region_keys(bounds, left.formulas + right.formulas):
         if key in searched:
             continue
         searched.add(key)
-        program = Program(left.formulas + right.formulas, times)
-        lhs, rhs = program.roots[:split], program.roots[split:]
-        trace = first_trace(program, bounds.alphabet, lambda sat: sat(lhs) ^ sat(rhs))
+        timed = program.at(times)
+        trace = first_trace(timed, bounds.alphabet, lambda sat: sat(lhs) ^ sat(rhs))
         if trace is None:
             continue
         # the total comes before its refinements, though its index is higher
         for trace in (TimedHTTrace(trace.there, trace.there, times), trace):
-            values = program.values(trace.here, trace.there)
-            held = [values[root] & 1 for root in program.roots]
+            held = list(map(first_bit, timed.bits(trace.here, trace.there)))
             if all(held[:split]) != all(held[split:]):
                 break
         side, failing = ("right", held[split:]) if all(held[:split]) else ("left", held[:split])

@@ -418,36 +418,28 @@ _PREC_ATOM, _PREC_QUANT, _PREC_AND, _PREC_OR, _PREC_IMPL = 5, 4, 3, 2, 1
 
 
 def format_fom(phi: FOMFormula) -> str:
-    return _fmt(phi)[0]
+    return mf.emit(phi, _shape)
 
 
-def _fmt(phi: FOMFormula) -> tuple[str, int]:
-    if isinstance(phi, Top):
-        return "#true", _PREC_ATOM
-    if isinstance(phi, Bot):
-        return "#false", _PREC_ATOM
-    if isinstance(phi, Pred):
-        return f"{phi.name}({phi.arg})", _PREC_ATOM
-    if isinstance(phi, Diff):
+def _shape(phi: FOMFormula) -> tuple[int, tuple]:
+    kind = type(phi)
+    if kind is Pred:
+        return _PREC_ATOM, (f"{phi.name}({phi.arg})",)
+    if kind is Diff:
         d = "w" if phi.delta is None else str(phi.delta)
-        return f"{phi.left} <={{{d}}} {phi.right}", _PREC_ATOM
-    if isinstance(phi, (Forall, Exists)):
-        mark = "!" if isinstance(phi, Forall) else "?"
-        body, p = _fmt(phi.body)
-        return (f"{mark}{phi.var} {body}" if p >= _PREC_QUANT
-                else f"{mark}{phi.var} ({body})"), _PREC_QUANT
-    if isinstance(phi, And):
-        return f"{_child(phi.lhs, _PREC_AND)} & {_child(phi.rhs, _PREC_QUANT)}", _PREC_AND
-    if isinstance(phi, Or):
-        return f"{_child(phi.lhs, _PREC_OR)} | {_child(phi.rhs, _PREC_QUANT)}", _PREC_OR
-    if isinstance(phi, Implies):
-        return f"{_child(phi.lhs, _PREC_OR)} -> {_child(phi.rhs, _PREC_IMPL)}", _PREC_IMPL
+        return _PREC_ATOM, (f"{phi.left} <={{{d}}} {phi.right}",)
+    if kind is And:
+        return _PREC_AND, ((phi.lhs, _PREC_AND, ""), " & ", (phi.rhs, _PREC_QUANT, ""))
+    if kind is Or:
+        return _PREC_OR, ((phi.lhs, _PREC_OR, ""), " | ", (phi.rhs, _PREC_QUANT, ""))
+    if kind is Implies:
+        return _PREC_IMPL, ((phi.lhs, _PREC_OR, ""), " -> ", (phi.rhs, _PREC_IMPL, ""))
+    if kind is Forall or kind is Exists:
+        mark = "!" if kind is Forall else "?"
+        return _PREC_QUANT, (f"{mark}{phi.var} ", (phi.body, _PREC_QUANT, ""))
+    if kind is Top or kind is Bot:
+        return _PREC_ATOM, ("#true" if kind is Top else "#false",)
     raise TypeError(f"not a FOM node: {phi!r}")
-
-
-def _child(phi: FOMFormula, min_prec: int) -> str:
-    s, p = _fmt(phi)
-    return s if p >= min_prec else f"({s})"
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Satisfaction of metric formulas on timed here-and-there traces.
 
-Implication is evaluated in both the here-world and the there-world (on a
-total trace they coincide: plain metric LTL).  `Program` compiles a theory
-against one time map into a post-order list of its distinct subformulas.  Run
+Implication is evaluated in both the here-world and the there-world (on a total
+trace they coincide: plain metric LTL).  `Program` compiles a theory into a
+post-order list of its distinct subformulas; `at` binds it to a time map.  Run
 on one trace, each node gets an int whose bit k is its truth at state k: one
-pass, linear per unbounded operator and O(L*W) per windowed one (W the states
-a window spans).  Run on a chunk of `ht_tables` traces, a node at state k gets
-an int whose bit i is its truth on trace i (Knuth, TAOCP 4A 7.1).
+pass, linear per unbounded operator and O(L*W) per windowed one (W the states a
+window spans).  Run on a chunk of `ht_tables` traces, a node at state k gets an
+int whose bit i is its truth on trace i (Knuth, TAOCP 4A 7.1).
 """
 
 from __future__ import annotations
@@ -18,56 +18,54 @@ from typing import Iterator
 
 from .syntax import (
     And, Atom, Bottom, Formula, FULL, Implies, Interval, Next, Or, Prev,
-    Release, Since, Theory, Trigger, TRUE, Until, always, neg,
+    Release, Since, Theory, Trigger, TRUE, Until, always, neg, postorder,
 )
 from .traces import TimedHTTrace
 
 WIDTH = 16  # a table spans at most 2**WIDTH traces (8 KB); higher index bits are enumerated
+first_bit = (1).__and__  # a formula's bits -> 1 when it holds at state 0; no Python frame per call
 
 
 class Program:
-    """A theory compiled against one time map: its distinct subformulas in post-order.
+    """A theory compiled into a post-order list of its distinct subformulas.
 
     `nodes` holds (kind, detail, lhs, rhs) per subformula: the formula class,
     the atom name or window (lower, upper) and the operands' node numbers;
-    `roots` holds each formula's node.  Masks are built on first use and kept.
-    Both runs follow one world rule: the there-world is evaluated first, and a
-    here-world implication also needs the there-world's value of its node."""
+    `roots` holds each formula's node.  A program bound by `at(tau)` runs
+    traces, building its masks on first use.  Both runs follow one world
+    rule: the there-world is evaluated first, and a here-world implication
+    also needs the there-world's value of its node."""
 
-    def __init__(self, formulas, tau: tuple[int, ...]):
-        self.tau, self.full, self._masks = tau, (1 << len(tau)) - 1, {}
+    def __init__(self, formulas):
         number, seen = {}, {}  # node -> its number in post-order; id(subformula) -> number
+        for phi in postorder(formulas):
+            kind = type(phi)
+            if kind is Atom or kind is Bottom:
+                node = (kind, getattr(phi, "name", None), 0, 0)
+            elif kind is And or kind is Or or kind is Implies:
+                node = (kind, None, seen[id(phi.lhs)], seen[id(phi.rhs)])
+            else:  # X and Y have one operand, U/R/S/T two
+                one = kind is Next or kind is Prev
+                node = (kind, (phi.interval.lower, phi.interval.upper),
+                        seen[id(phi.arg if one else phi.lhs)], 0 if one else seen[id(phi.rhs)])
+            seen[id(phi)] = number.setdefault(node, len(number))
+        self.nodes, self.roots = list(number), [seen[id(phi)] for phi in formulas]
 
-        def visit(phi: Formula) -> int:
-            node = seen.get(id(phi))
-            if node is None:
-                kind = type(phi)
-                if kind is Atom or kind is Bottom:
-                    node = (kind, getattr(phi, "name", None), 0, 0)
-                elif kind is And or kind is Or or kind is Implies:
-                    node = (kind, None, visit(phi.lhs), visit(phi.rhs))
-                else:  # X and Y have one operand, U/R/S/T two
-                    one = kind is Next or kind is Prev
-                    node = (kind, (phi.interval.lower, phi.interval.upper),
-                            visit(phi.arg if one else phi.lhs), 0 if one else visit(phi.rhs))
-                node = seen[id(phi)] = number.setdefault(node, len(number))
-            return node
+    def at(self, tau: tuple[int, ...]) -> Program:
+        """This program bound to one time map: the same nodes and roots, its own masks."""
+        timed = object.__new__(Program)  # not compiled again
+        timed.nodes, timed.roots = self.nodes, self.roots
+        timed.tau, timed.full, timed._masks = tau, (1 << len(tau)) - 1, {}
+        return timed
 
-        self.roots = [visit(phi) for phi in formulas]
-        self.nodes = list(number)
-
-    def values(self, here: tuple, there: tuple) -> list[int]:
-        """Each node's bits in this trace's here-world, run after its there-world."""
-        upper = self._run(there, [])
-        return upper if here == there else self._run(here, [], None, upper)
-
-    def verdicts(self, here, there, k: int = 0) -> Iterator[bool]:
-        """Each formula's truth at state k in turn, evaluating the nodes it needs then."""
+    def bits(self, here: tuple, there: tuple) -> Iterator[int]:
+        """Each formula's bits in turn, bit k its truth at state k in the here-world,
+        evaluating the nodes it needs then: its there-world run comes first."""
         upper, out = None if here == there else [], []
         for root in self.roots:
             if upper is not None:
                 self._run(there, upper, root + 1)
-            yield self._run(here, out, root + 1, upper)[root] >> k & 1 == 1
+            yield self._run(here, out, root + 1, upper)[root]
 
     def _run(self, states: tuple, out: list[int], stop=None, upper=None) -> list[int]:
         """One world's bits per node up to `stop`; `upper` holds the there-world's."""
@@ -198,9 +196,7 @@ class Program:
 
 def state_bits(trace: TimedHTTrace, formulas) -> list[int]:
     """Each formula's truth at every state of the trace, bit k for state k, in one pass."""
-    program = Program(formulas, trace.times)
-    values = program.values(trace.here, trace.there)
-    return [values[root] for root in program.roots]
+    return list(Program(formulas).at(trace.times).bits(trace.here, trace.there))
 
 
 def mht_sat(trace: TimedHTTrace, k: int, phi: Formula) -> bool:
@@ -304,7 +300,8 @@ def first_trace(program: Program, alphabet: tuple[str, ...], select,
 
 def is_model(trace: TimedHTTrace, theory: Theory) -> bool:
     """Does the trace satisfy every formula of the theory at state 0?"""
-    return all(Program(theory.formulas, trace.times).verdicts(trace.here, trace.there))
+    program = Program(theory.formulas).at(trace.times)
+    return all(map(first_bit, program.bits(trace.here, trace.there)))
 
 
 def em_theory(alphabet) -> Theory:

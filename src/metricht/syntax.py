@@ -221,26 +221,43 @@ def match_weak(phi: Formula) -> tuple[type, Interval, Formula] | None:
     return None
 
 
-def atoms_of(phi: Formula) -> frozenset[str]:
-    if isinstance(phi, Atom):
-        return frozenset([phi.name])
-    if isinstance(phi, Bottom):
-        return frozenset()
-    if isinstance(phi, (Next, Prev)):
-        return atoms_of(phi.arg)
-    return atoms_of(phi.lhs) | atoms_of(phi.rhs)
+def operands(phi: Formula) -> tuple[Formula, ...]:
+    """phi's direct subformulas, left to right."""
+    kind = type(phi)
+    if kind is Atom or kind is Bottom:
+        return ()
+    return (phi.arg,) if kind is Next or kind is Prev else (phi.lhs, phi.rhs)
+
+
+def postorder(formulas):
+    """Each distinct subformula (by id) of the formulas once, its operands first.
+
+    A stack of operand iterators stands in for recursion: depth costs no frames."""
+    seen: set[int] = set()
+    nodes, stack = [], [iter(formulas)]  # stack[i + 1] walks the operands of nodes[i]
+    while stack:
+        for part in stack[-1]:
+            if id(part) not in seen:
+                seen.add(id(part))
+                parts = operands(part)
+                if parts:
+                    nodes.append(part)
+                    stack.append(iter(parts))
+                    break
+                yield part
+        else:
+            stack.pop()
+            if nodes:
+                yield nodes.pop()
 
 
 def interval_endpoints(formulas) -> list[int]:
     """Sorted finite interval bounds (lower, and upper unless w) over all subformulas."""
     found: set[int] = set()
-    stack = list(formulas)
-    while stack:
-        for part in vars(stack.pop()).values():
-            if isinstance(part, Formula):
-                stack.append(part)
-            elif isinstance(part, Interval):
-                found.update(b for b in (part.lower, part.upper) if b is not None)
+    for phi in postorder(formulas):
+        interval = getattr(phi, "interval", None)
+        if interval is not None:
+            found.update(b for b in (interval.lower, interval.upper) if b is not None)
     return sorted(found)
 
 
@@ -269,10 +286,7 @@ class Theory:
         return iter(self.formulas)
 
     def atoms(self) -> tuple[str, ...]:
-        names: set[str] = set()
-        for phi in self.formulas:
-            names |= atoms_of(phi)
-        return tuple(sorted(names))
+        return tuple(sorted({phi.name for phi in postorder(self.formulas) if type(phi) is Atom}))
 
 
 # --------------------------------------------------------------------------
@@ -287,68 +301,74 @@ class Theory:
 _PREC_ATOM, _PREC_UNARY, _PREC_BIN, _PREC_AND, _PREC_OR, _PREC_IMPL = 6, 5, 4, 3, 2, 1
 
 _BINARY_NAMES = {Until: "U", Release: "R", Since: "S", Trigger: "T"}
-_UNARY_NAMES = {Next: "X", Prev: "Y"}
+_PREFIX_NAMES = {Next: "X", Prev: "Y", Until: "F", Since: "O", Release: "G", Trigger: "H"}
 
 
 def format_formula(phi: Formula) -> str:
     """Render phi so that parsing the result reproduces phi exactly."""
-    return _fmt(phi)[0]
+    return emit(phi, _shape)
+
+
+def emit(phi, shape) -> str:
+    """Render a formula tree from shape(node) -> (precedence, parts), with an explicit stack.
+
+    A part is text, or (subformula, least precedence, text before it when it
+    needs no parentheses); a subformula below its least precedence is
+    parenthesized.  A shared subformula is printed at every use."""
+    out, stack = [], [iter(((phi, 0, ""),))]
+    while stack:
+        for part in stack[-1]:
+            if type(part) is str:
+                out.append(part)
+                continue
+            node, least, before = part
+            precedence, parts = shape(node)
+            if precedence < least:
+                out.append("(")
+                stack.append(iter(")"))
+            elif before:
+                out.append(before)
+            stack.append(iter(parts))
+            break
+        else:
+            stack.pop()
+    return "".join(out)
 
 
 def _iv_txt(interval: Interval) -> str:
     return "" if interval.is_full() else str(interval)
 
 
-def _child(phi: Formula, min_prec: int) -> str:
-    s, p = _fmt(phi)
-    return s if p >= min_prec else f"({s})"
-
-
-def _unary_app(op: str, interval: Interval, arg: Formula) -> tuple[str, int]:
-    s, p = _fmt(arg)
-    body = f" {s}" if p >= _PREC_UNARY else f"({s})"
-    return f"{op}{_iv_txt(interval)}{body}", _PREC_UNARY
-
-
-def _fmt(phi: Formula) -> tuple[str, int]:
-    if phi == TRUE:
-        return "#true", _PREC_ATOM
-    if isinstance(phi, Bottom):
-        return "#false", _PREC_ATOM
-    if isinstance(phi, Atom):
-        return phi.name, _PREC_ATOM
-    if phi == INITIAL:
-        return "#init", _PREC_ATOM
-    if phi == FINAL:
-        return "#final", _PREC_ATOM
-
-    wk = match_weak(phi)
-    if wk is not None:
-        return _unary_app("w" + _UNARY_NAMES[wk[0]], wk[1], wk[2])
-
-    inner = match_not(phi)
-    if inner is not None:
-        s, p = _fmt(inner)
-        return (f"~{s}" if p >= _PREC_UNARY else f"~({s})"), _PREC_UNARY
-
-    if isinstance(phi, (Next, Prev)):
-        return _unary_app(_UNARY_NAMES[type(phi)], phi.interval, phi.arg)
-
-    if isinstance(phi, (Until, Since)) and phi.lhs == TRUE:
-        return _unary_app("F" if isinstance(phi, Until) else "O", phi.interval, phi.rhs)
-    if isinstance(phi, (Release, Trigger)) and phi.lhs == BOT:
-        return _unary_app("G" if isinstance(phi, Release) else "H", phi.interval, phi.rhs)
-
-    if isinstance(phi, KERNEL_BINARY):
-        op = _BINARY_NAMES[type(phi)]
-        lhs = _child(phi.lhs, _PREC_UNARY)
-        rhs = _child(phi.rhs, _PREC_BIN)
-        return f"{lhs} {op}{_iv_txt(phi.interval)} {rhs}", _PREC_BIN
-
-    if isinstance(phi, And):
-        return f"{_child(phi.lhs, _PREC_AND)} & {_child(phi.rhs, _PREC_BIN)}", _PREC_AND
-    if isinstance(phi, Or):
-        return f"{_child(phi.lhs, _PREC_OR)} | {_child(phi.rhs, _PREC_BIN)}", _PREC_OR
-    if isinstance(phi, Implies):
-        return f"{_child(phi.lhs, _PREC_OR)} -> {_child(phi.rhs, _PREC_IMPL)}", _PREC_IMPL
-    raise TypeError(f"not a formula node: {phi!r}")
+def _shape(phi: Formula) -> tuple[int, tuple]:
+    kind = type(phi)
+    if kind is Atom:
+        return _PREC_ATOM, (phi.name,)
+    if kind is Bottom:
+        return _PREC_ATOM, ("#false",)
+    if kind is Implies:
+        if phi == TRUE:
+            return _PREC_ATOM, ("#true",)
+        if phi == INITIAL:
+            return _PREC_ATOM, ("#init",)
+        if phi == FINAL:
+            return _PREC_ATOM, ("#final",)
+        inner = match_not(phi)
+        if inner is not None:
+            return _PREC_UNARY, ("~", (inner, _PREC_UNARY, ""))
+        return _PREC_IMPL, ((phi.lhs, _PREC_OR, ""), " -> ", (phi.rhs, _PREC_IMPL, ""))
+    if kind is Or:
+        wk = match_weak(phi)
+        if wk is not None:
+            return _PREC_UNARY, ("w" + _PREFIX_NAMES[wk[0]] + _iv_txt(wk[1]),
+                                 (wk[2], _PREC_UNARY, " "))
+        return _PREC_OR, ((phi.lhs, _PREC_OR, ""), " | ", (phi.rhs, _PREC_BIN, ""))
+    if kind is And:
+        return _PREC_AND, ((phi.lhs, _PREC_AND, ""), " & ", (phi.rhs, _PREC_BIN, ""))
+    if kind is Next or kind is Prev:
+        arg = phi.arg
+    elif phi.lhs == (TRUE if kind is Until or kind is Since else BOT):  # F, O, G, H
+        arg = phi.rhs
+    else:
+        op = f" {_BINARY_NAMES[kind]}{_iv_txt(phi.interval)} "
+        return _PREC_BIN, ((phi.lhs, _PREC_UNARY, ""), op, (phi.rhs, _PREC_BIN, ""))
+    return _PREC_UNARY, (_PREFIX_NAMES[kind] + _iv_txt(phi.interval), (arg, _PREC_UNARY, " "))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from contextlib import contextmanager
 
 import hypothesis.strategies as st
 
@@ -23,6 +25,20 @@ def make_trace(states, times) -> TimedHTTrace:
     """A trace from (here, there) pairs of any iterables and any time sequence."""
     pairs = [(frozenset(h), frozenset(t)) for h, t in states]
     return TimedHTTrace(tuple(h for h, _ in pairs), tuple(t for _, t in pairs), tuple(times))
+
+
+@contextmanager
+def stack_headroom():
+    """Within the block, the recursion limit lies 100 frames above the caller's depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def total_part(trace: TimedHTTrace) -> TimedHTTrace:

@@ -225,17 +225,16 @@ def _oracle_model(trace, theory):
 def _plain_equiv(left, right, bounds):
     """Reference: every total trace and every refinement, with no region classes.
 
-    Both theories are compiled together once per time map, and every trace is
-    run through that program.
+    Both theories are compiled together once and bound to each time map, and
+    every trace is run through that program.
     """
-    times = None
+    times, program = None, Program(left.formulas + right.formulas)
     for total in enumerate_total_traces(bounds):
         if total.times != times:
             times = total.times
-            program = Program(left.formulas + right.formulas, times)
+            timed = program.at(times)
         for trace in chain((total,), refinements(total)):
-            values = program.values(trace.here, trace.there)
-            verdicts = [values[root] & 1 for root in program.roots]
+            verdicts = [bits & 1 for bits in timed.bits(trace.here, trace.there)]
             sat_left, sat_right = all(verdicts[:len(left)]), all(verdicts[len(left):])
             if sat_left != sat_right:
                 side, failing = ("right", right) if sat_left else ("left", left)
@@ -321,7 +320,7 @@ def test_refinement_scan_indexes_only_the_atoms_of_the_total():
     # 14 states holding one atom each out of 4: the scan indexes the 2**14
     # refinements in one chunk, not 2**56 indices (every atom in every state)
     total = total_trace([{"pqrs"[k % 4]} for k in range(14)], range(14))
-    chunks = islice(ht_tables(Program((), total.times), total.atoms(), total.there), 2)
+    chunks = islice(ht_tables(Program(()).at(total.times), total.atoms(), total.there), 2)
     assert [(base, valid) for base, valid, _ in chunks] == [(0, (1 << 2 ** 14) - 1)]
 
     def too_slow(signum, frame):
@@ -355,13 +354,25 @@ def test_equiv_memory_stays_bounded():
 
 
 def test_searches_compile_one_program_per_region_class(monkeypatch):
-    # every compile counts, the one-off is_model / mht_sat ones included
-    built = []
+    # a search compiles its theories once and binds the program to the first
+    # time map of each class it searches; a one-off is_model / mht_sat compile
+    # would count too
+    compiled, bound = [], []
 
     class Counting(Program):
-        def __init__(self, formulas, tau):
-            built.append(tau)
-            super().__init__(formulas, tau)
+        def __init__(self, formulas):
+            compiled.append(formulas)
+            super().__init__(formulas)
+
+        def at(self, tau):
+            bound.append(tau)
+            return super().at(tau)
+
+    def first_maps(bounds, formulas):  # class key -> its first time map, in search order
+        first = {}
+        for times, key in region_keys(bounds, formulas):
+            first.setdefault(key, times)
+        return first
 
     monkeypatch.setattr(metricht.equilibrium, "Program", Counting)
     monkeypatch.setattr(metricht.semantics, "Program", Counting)
@@ -369,8 +380,10 @@ def test_searches_compile_one_program_per_region_class(monkeypatch):
     left = parse_theory("G (p -> F[1..3) q)")
     for right in (Theory(left.formulas * 2), parse_theory("G (p -> F[1..2) q)")):
         both = left.formulas + right.formulas
-        classes = list(dict.fromkeys(key for _, key in region_keys(bounds, both)))
-        built.clear()
+        first = first_maps(bounds, both)
+        classes = list(first)
+        compiled.clear()
+        bound.clear()
         verdict = bounded_equiv(left, right, bounds)
         searched = classes
         if not verdict.equivalent:  # the search stops at the counterexample's class
@@ -378,13 +391,18 @@ def test_searches_compile_one_program_per_region_class(monkeypatch):
                        if times == verdict.counterexample[0].times)
             searched = classes[:classes.index(key) + 1]
             assert len(searched) > 1
-        assert len(built) == len(searched)
+        assert len(compiled) == 1
+        assert bound == [first[key] for key in searched]
     assert not verdict.equivalent
-    built.clear()
-    models = enumerate_equilibrium(WITH_PUSH, EnumerationBounds(TRAFFIC_ATOMS, 3, 8))
+    compiled.clear()
+    bound.clear()
+    traffic = EnumerationBounds(TRAFFIC_ATOMS, 3, 8)
+    models = enumerate_equilibrium(WITH_PUSH, traffic)
     assert models
-    assert len(built) == len({key for _, key in region_keys(EnumerationBounds(
-        TRAFFIC_ATOMS, 3, 8), WITH_PUSH.formulas)})
-    built.clear()
+    assert len(compiled) == 1
+    assert bound == list(first_maps(traffic, WITH_PUSH.formulas).values())
+    compiled.clear()
+    bound.clear()
     is_equilibrium(models[0], WITH_PUSH)
-    assert built == [models[0].times]
+    assert len(compiled) == 1
+    assert bound == [models[0].times]

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import gen_formula, gen_interval, gen_trace, is_qel_model, make_trace, total_part
+from conftest import (
+    gen_formula, gen_interval, gen_trace, is_qel_model, make_trace, stack_headroom, total_part,
+)
 from metricht import fom
 from metricht.fom import (
     Diff, Exists, Forall, Implies, Point, Pred, QHTInterpretation, Var,
@@ -247,6 +249,14 @@ def test_fom_roundtrip_on_translations():
         assert parse_fom(format_fom(sentence)) == sentence
         simplified = simplify_fom(sentence)
         assert parse_fom(format_fom(simplified)) == simplified
+
+
+def test_format_fom_takes_no_frame_per_level():
+    x, phi = Var("x"), Pred("p", Var("x"))
+    for _ in range(20_000):
+        phi = Forall(x, Implies(Pred("p", x), phi))
+    with stack_headroom():
+        assert format_fom(phi) == "!x (p(x) -> " * 20_000 + "p(x)" + ")" * 20_000
 
 
 def test_fom_parse_errors():

@@ -329,14 +329,12 @@ def test_strict_passes_exhaustively_on_small_space():
             battery.append(parse_formula(f"{op}{shape} p"))
     passes = [unfold_next, one_step_eliminate, to_unary_nf]
     rewritten = [p(phi) for p in passes for phi in battery]
-    programs = {}  # one per time map, run on each of its traces
+    program, timed = Program(battery + rewritten), {}  # bound once per time map
     for here, there, times in oracle.bounded_space(("p", "q"), 3, 3, strict=True):
-        if times not in programs:
-            programs[times] = Program(battery + rewritten, times)
-        program = programs[times]
-        values = program.values(here, there)
+        if times not in timed:
+            timed[times] = program.at(times)
         # bit k of each int is the verdict at state k, so every state is compared
-        bits = [values[root] for root in program.roots]
+        bits = list(timed[times].bits(here, there))
         for i, out in enumerate(rewritten):
             phi = battery[i % len(battery)]
             assert bits[len(battery) + i] == bits[i % len(battery)], \

@@ -203,26 +203,26 @@ def _every_connective_to_depth_two():
 def test_tables_match_oracle_exhaustively():
     # every time map over {p, q} with L <= 3 and final time <= 4, strict ones
     # included: bit i of the chunk run of phi's node at k is the oracle's
-    # verdict on trace i at k, and so is bit k of phi's node in the
-    # there-then-here `values` run on trace i
+    # verdict on trace i at k, and so is bit k of phi's bits in the
+    # there-then-here `bits` run on trace i
     formulas = _every_connective_to_depth_two()
     atoms = ("p", "q")
     checked = 0
     for times in {times for _, _, times in oracle.bounded_space(atoms, 3, 4, strict=False)}:
-        program = Program(formulas, times)  # one per time map, for both runs
+        program = Program(formulas).at(times)  # one per time map, for both runs
         for base, valid, cells in ht_tables(program, atoms):
             traces = [(i, ht_trace(base + i, atoms, times))
                       for i in range(valid.bit_length()) if valid >> i & 1]
             # every HT trace with this time map, once, here != there included
             assert len({(t.here, t.there) for _, t in traces}) == 3 ** (2 * len(times))
-            compiled = [program.values(t.here, t.there) for _, t in traces]
-            for phi, root in zip(formulas, program.roots):
+            compiled = [list(program.bits(t.here, t.there)) for _, t in traces]
+            for f, (phi, root) in enumerate(zip(formulas, program.roots)):
                 for k in range(len(times)):
                     bits = program.chunk(root, k, *cells)
                     for (i, t), values in zip(traces, compiled):
                         expected = oracle.sat(t.here, t.there, times, k, phi)
                         assert (bits >> i & 1) == expected, (format_formula(phi), t, k)
-                        assert (values[root] >> k & 1) == expected, (format_formula(phi), t, k)
+                        assert (values[f] >> k & 1) == expected, (format_formula(phi), t, k)
                         checked += 1
     assert checked == 941_472
 
@@ -238,7 +238,7 @@ def test_window_masks_match_tau_differences():
             times = [0]
             for _ in range(rng.randint(0, 99)):
                 times.append(times[-1] + rng.choice(steps))
-            program, n = Program((), tuple(times)), len(times)
+            program, n = Program(()).at(tuple(times)), len(times)
             for window, future in [(w, f) for w in windows for f in (True, False)]:
                 lo, hi = window
 

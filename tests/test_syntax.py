@@ -3,12 +3,15 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import formulas_st, gen_formula
+from conftest import formulas_st, gen_formula, make_trace, stack_headroom
+from metricht.cli import _tree_size
 from metricht.parser import ParseError, parse_formula, parse_theory
+from metricht.semantics import state_bits
 from metricht.syntax import (
     And, Atom, BOT, Bottom, FULL, Implies, Interval, Next, Or, Prev, Release,
-    Since, Trigger, TRUE, Until, always, eventually, final, format_formula,
-    historically, initial, neg, once, weak_next, weak_prev,
+    Since, Theory, Trigger, TRUE, Until, always, eventually, final, format_formula,
+    historically, initial, interval_endpoints, neg, once, operands, postorder,
+    weak_next, weak_prev,
 )
 
 P, Q = Atom("p"), Atom("q")
@@ -227,3 +230,56 @@ def test_parse_theory_error_line_numbers():
 
 def test_theory_atoms_sorted():
     assert parse_theory("zeta & alpha\nmid\n").atoms() == ("alpha", "mid", "zeta")
+
+
+# ------------------------------------------------------------------ walks
+
+def test_postorder_matches_a_recursive_walk():
+    # formulas built from a shared pool repeat subformulas by identity; each
+    # distinct object comes once, operands first, as a recursive walk has it
+    def reference(formulas):
+        seen, out = set(), []
+
+        def visit(phi):
+            if id(phi) not in seen:
+                seen.add(id(phi))
+                for part in operands(phi):
+                    visit(part)
+                out.append(phi)
+
+        for phi in formulas:
+            visit(phi)
+        return out
+
+    rng = random.Random(12)
+    for _ in range(300):
+        pool = [gen_formula(rng, 2) for _ in range(4)]
+        for _ in range(rng.randint(1, 8)):
+            a, b = rng.choice(pool), rng.choice(pool)
+            pool.append(rng.choice([And(a, b), Or(a, b), Implies(a, b), Next(FULL, a),
+                                    Prev(Interval(1, 3), b), Until(Interval(0, 2), a, b)]))
+        roots = rng.sample(pool, rng.randint(1, len(pool)))
+        walked = list(postorder(roots))
+        assert [id(phi) for phi in walked] == [id(phi) for phi in reference(roots)]
+        assert len({id(phi) for phi in walked}) == len(walked)
+
+
+DEPTH = 20_000
+
+
+@pytest.mark.parametrize("step,text,size,state_zero", [
+    (neg, "~" * DEPTH + "p", 2 * DEPTH + 1, 1),
+    (lambda phi: And(phi, P), " & ".join(["p"] * (DEPTH + 1)), 2 * DEPTH + 1, 1),
+    (lambda phi: Next(Interval(1, 3), phi), "X[1..3) " * DEPTH + "p", DEPTH + 1, 0),
+], ids=["neg", "and", "next"])
+def test_walks_and_printer_take_no_frame_per_level(step, text, size, state_zero):
+    phi = P
+    for _ in range(DEPTH):
+        phi = step(phi)
+    trace = make_trace([({"p"}, {"p"}), ((), ())], (0, 2))
+    with stack_headroom():
+        assert format_formula(phi) == text
+        assert _tree_size(phi) == size
+        assert Theory((phi,)).atoms() == ("p",)
+        assert interval_endpoints([phi]) == ([1, 3] if "X" in text else [])
+        assert state_bits(trace, (phi,)) == [state_zero]  # compiles, then runs
