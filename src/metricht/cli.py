@@ -63,7 +63,7 @@ def cmd_check(args) -> int:
     theory = _load(args.theory, parse_theory)
     trace, _ = _load(args.trace, lambda text: trace_from_json(json.loads(text)))
     if not 0 <= args.at < trace.length:
-        raise ValueError(f"state index {args.at} out of range")
+        raise ValueError(f"--at {args.at}: {args.trace} has states 0 to {trace.length - 1}")
     program, failing = Program(theory.formulas).at(trace.times), None
     for i, bits in enumerate(program.bits(trace.here, trace.there), start=1):
         ok = bits >> args.at & 1
@@ -152,28 +152,25 @@ def cmd_translate(args) -> int:
 
 def cmd_qht(args) -> int:
     sentence = _load(args.sentence, fom.parse_fom)
-    free = sorted(fom.free_names(sentence))
-    if free:  # checked once here, not on each of qht_sat's many calls
-        raise ValueError(f"{args.sentence}: free variable {', '.join(free)}: "
-                         "qht needs a closed sentence")
+    program = _naming(args.sentence, fom.compile_sentence, sentence)  # once for both steps
     interp = _load(args.interp, lambda text: fom.interpretation_from_json(json.loads(text)))
-    # evaluation refuses a sentence time point outside the domain and too many there-atoms
-    return _naming(args.interp, lambda interp: _qht(interp, sentence, args.equilibrium), interp)
+    # binding refuses a sentence time point outside the domain, the scan too many there-atoms
+    return _naming(args.interp, lambda interp: _qht(interp, program, args.equilibrium), interp)
 
 
-def _qht(interp: fom.QHTInterpretation, sentence: fom.FOMFormula, equilibrium: bool) -> int:
+def _qht(interp: fom.QHTInterpretation, program: fom.Program, equilibrium: bool) -> int:
     if equilibrium:
         if not fom.qht_sat(fom.QHTInterpretation(interp.domain, interp.there, interp.there),
-                           sentence):
+                           program):
             print("NON-EQ (the there-world is not a model)")
             return 1
-        witness = fom.first_smaller_model(interp.domain, interp.there, sentence)
+        witness = fom.first_smaller_model(interp.domain, interp.there, program)
         if witness is None:
             print("EQ")
             return 0
         print("NON-EQ witness " + json.dumps(sorted(f"{p}({t})" for p, t in witness)))
         return 1
-    ok = fom.qht_sat(interp, sentence)
+    ok = fom.qht_sat(interp, program)
     print("SAT" if ok else "UNSAT")
     return 0 if ok else 1
 

@@ -11,6 +11,7 @@ fragment structurally, one quantified variable per temporal operator.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, count
 from typing import Iterable
@@ -346,66 +347,147 @@ def induced_interpretation(trace: TimedHTTrace) -> QHTInterpretation:
     return QHTInterpretation(trace.times, here, there)
 
 
-def qht_sat(interp: QHTInterpretation, phi: FOMFormula) -> bool:
-    """Satisfaction in the here-world; implication consults both worlds."""
-    return _ev(interp, phi, {}, here=True)
+class Program:
+    """Formulas compiled into a post-order list of (kind, detail, a, b, free, reads):
+    per subformula its class, test, operands, variables and whether it reads a
+    predicate; `roots` are the formulas' nodes.  A variable is (1, its binder's
+    depth), so shadowing needs no environment, or (0, name) if free.  Bound to
+    D points, a node with k variables gets D^k bits, the deepest the lowest."""
+
+    def __init__(self, formulas):
+        number, points, done = {}, {}, []  # done: (number, variables, reads) per operand
+        stack = [(phi, {}, 0, False) for phi in reversed(formulas)]
+        while stack:  # explicit, so nesting costs no Python frames
+            phi, env, depth, ready = stack.pop()
+            kind = type(phi)
+            if kind is And or kind is Or or kind is Implies:
+                if not ready:
+                    stack += [(phi, env, depth, True), (phi.rhs, env, depth, False),
+                              (phi.lhs, env, depth, False)]
+                    continue
+                (b, free_b, reads_b), (a, free_a, reads_a) = done.pop(), done.pop()
+                node = (kind, None, a, b, tuple(sorted({*free_a, *free_b})), reads_a or reads_b)
+            elif kind is Forall or kind is Exists:
+                if not ready:
+                    stack += [(phi, env, depth, True),
+                              (phi.body, {**env, phi.var.name: (1, depth)}, depth + 1, False)]
+                    continue
+                if done[-1][1][-1:] != ((1, depth),):
+                    continue  # the body does not mention the variable: it stands for itself
+                a, free, reads = done.pop()
+                node = (kind, None, a, 0, free[:-1], reads)
+            elif kind is Pred or kind is Diff:  # a term is a time point or a variable
+                left, right = [env.get(t.name, (0, t.name)) if type(t) is Var
+                               else points.setdefault(t.value, t.value)
+                               for t in ((phi.arg,) * 2 if kind is Pred else (phi.left, phi.right))]
+                free = tuple(sorted({t for t in (left, right) if type(t) is tuple}))
+                if kind is Pred:
+                    node = (Pred, (phi.name, None if free else left), 0, 0, free, True)
+                elif phi.delta is None or not free or left == right:  # a constant
+                    holds = phi.delta is None or (0 if left == right else left - right) <= phi.delta
+                    node = (Top if holds else Bot, None, 0, 0, (), False)
+                else:  # inner - outer <= delta, or not inner - outer <= -delta - 1
+                    flip, outer = (True, left) if left != free[-1] else (False, right)
+                    delta = -phi.delta - 1 if flip else phi.delta
+                    node = (Diff, (delta, outer, flip), 0, 0, free, False)
+            else:  # #true or #false; a KeyError for anything else
+                node = ({Top: Top, Bot: Bot}[kind], None, 0, 0, (), False)
+            done.append((number.setdefault(node, len(number)), node[4], node[5]))
+        self.nodes, self.roots, self.points = list(number), [n for n, _, _ in done], tuple(points)
+        self.free = sorted({key[1] for _, free, _ in done for key in free})
+
+    def at(self, domain) -> Program:
+        """This program bound to a domain: the same nodes, refusing a time point outside it."""
+        bound = object.__new__(Program)  # not compiled again
+        bound.__dict__.update(self.__dict__)
+        bound.domain = domain = tuple(sorted(set(domain)))
+        bound.index = {t: i for i, t in enumerate(domain)}
+        for point in self.points:
+            if point not in bound.index:
+                raise ValueError(f"time point {point} lies outside the domain")
+        return bound
+
+    def run(self, atoms, upper=None) -> list[int]:
+        """Every node's bits in the world of the (name, point) `atoms`; see `qht_sat`."""
+        index, nodes, size, rows, out = self.index, self.nodes, len(self.domain), {}, []
+        for name, point in atoms:
+            rows[name] = rows.get(name, 0) | 1 << index[point]
+        for kind, detail, a, b, free, reads in nodes:
+            if upper is not None and not reads:
+                value = upper[len(out)]
+            elif kind is Pred:  # a row, or its bit at a time point
+                value = rows.get(detail[0], 0)
+                value = value if detail[1] is None else value >> index[detail[1]] & 1
+            elif kind is And or kind is Or or kind is Implies:
+                lhs, rhs = out[a], out[b]
+                if nodes[a][4] != free or nodes[b][4] != free:
+                    lhs, rhs = self._widen(lhs, a, free), self._widen(rhs, b, free)
+                if kind is Implies:
+                    value = ((1 << size ** len(free)) - 1) ^ (lhs & ~rhs)
+                    if upper is not None:
+                        value &= upper[len(out)]
+                else:
+                    value = lhs & rhs if kind is And else lhs | rhs
+            elif kind is Forall or kind is Exists:  # fold the innermost variable:
+                value = table = out[a]  # OR (AND for !) over D shifts, then every D-th bit
+                for s in range(1, size):
+                    value = value & table >> s if kind is Forall else value | table >> s
+                value = int(format(value, f"0{size ** (len(free) + 1)}b")[size - 1::size], 2)
+            elif kind is Diff:  # a row over the inner variable per outer value, one bisect each
+                (delta, outer, flip), value = detail, 0
+                for o in reversed(self.domain) if type(outer) is tuple else (outer,):
+                    value = value << size | (1 << bisect_right(self.domain, o + delta)) - 1
+                if flip:
+                    value ^= (1 << size ** len(free)) - 1
+            else:
+                value = 1 if kind is Top else 0
+            out.append(value)
+        return out
+
+    def _widen(self, table: int, node: int, want: tuple) -> int:
+        """A node's table widened to the variables `want`: blocks spread D apart, repeated."""
+        size, have = len(self.domain), list(self.nodes[node][4])
+        for key in set(want).difference(have):
+            block = size ** sum(key < h for h in have)
+            text = format(table, f"0{size ** len(have)}b")
+            table = int(("0" * (block * (size - 1))).join(
+                [text[i:i + block] for i in range(0, len(text), block)]), 2)
+            table *= ((1 << block * size) - 1) // ((1 << block) - 1)
+            have = sorted(have + [key])
+        return table
 
 
-def _term(interp: QHTInterpretation, t: Term, env: dict[str, int]) -> int:
-    if isinstance(t, Var):
-        return env[t.name]  # bound by a quantifier over the domain
-    if t.value not in interp.domain:
-        raise ValueError(f"time point {t.value} lies outside the domain")
-    return t.value
+def compile_sentence(phi: FOMFormula | Program) -> Program:
+    """phi compiled (a Program passes through), refusing free variables."""
+    program = phi if isinstance(phi, Program) else Program([phi])
+    if program.free:
+        raise ValueError(f"free variable {', '.join(program.free)}: qht needs a closed sentence")
+    return program
 
 
-def _ev(I: QHTInterpretation, phi: FOMFormula, env: dict[str, int], here: bool) -> bool:
-    if isinstance(phi, Top):
-        return True
-    if isinstance(phi, Bot):
-        return False
-    if isinstance(phi, Pred):
-        atom = (phi.name, _term(I, phi.arg, env))
-        return atom in (I.here if here else I.there)
-    if isinstance(phi, Diff):
-        left, right = _term(I, phi.left, env), _term(I, phi.right, env)
-        return True if phi.delta is None else left - right <= phi.delta
-    if isinstance(phi, And):
-        return _ev(I, phi.lhs, env, here) and _ev(I, phi.rhs, env, here)
-    if isinstance(phi, Or):
-        return _ev(I, phi.lhs, env, here) or _ev(I, phi.rhs, env, here)
-    if isinstance(phi, Implies):
-        ok = not _ev(I, phi.lhs, env, here) or _ev(I, phi.rhs, env, here)
-        if not here:
-            return ok
-        return ok and (not _ev(I, phi.lhs, env, False) or _ev(I, phi.rhs, env, False))
-    if isinstance(phi, Forall):
-        return all(_ev(I, phi.body, {**env, phi.var.name: t}, here) for t in I.domain)
-    if isinstance(phi, Exists):
-        return any(_ev(I, phi.body, {**env, phi.var.name: t}, here) for t in I.domain)
-    raise TypeError(f"not a FOM node: {phi!r}")
+def qht_sat(interp: QHTInterpretation, phi: FOMFormula | Program) -> bool:
+    """Satisfaction of phi, a sentence or its Program's first, in the here-world: the
+    there-world's run masks its implications and decides what reads no predicate."""
+    program = compile_sentence(phi).at(interp.domain)
+    upper, root = program.run(interp.there), program.roots[0]
+    return (upper if interp.is_total() else program.run(interp.here, upper))[root] == 1
 
 
 MAX_SUBSET_ATOMS = 20
 
 
 def first_smaller_model(domain: Iterable[int], there: Iterable[tuple[str, int]],
-                        phi: FOMFormula) -> frozenset | None:
-    """The first proper subset of `there` still satisfying phi, if any.
-
-    Subsets are scanned by ascending size, lexicographically within a size.
-    """
+                        phi: FOMFormula | Program) -> frozenset | None:
+    """The first proper subset of `there` still satisfying phi, if any, by ascending
+    size and lexicographically within a size; the there-world runs once."""
     atoms = sorted(set(there))
     if len(atoms) > MAX_SUBSET_ATOMS:
         raise ValueError(f"subset search capped at {MAX_SUBSET_ATOMS} atoms, got {len(atoms)}")
-    dom = tuple(domain)
-    full = frozenset(atoms)
-    for size in range(len(atoms)):
-        for combo in combinations(atoms, size):
-            candidate = QHTInterpretation(dom, frozenset(combo), full)
-            if qht_sat(candidate, phi):
-                return frozenset(combo)
-    return None
+    full = frozenset(atoms)  # an atom outside the domain is refused
+    program = compile_sentence(phi).at(QHTInterpretation(tuple(domain), full, full).domain)
+    upper, root = program.run(atoms), program.roots[0]
+    subsets = (frozenset(c) for size in range(len(atoms)) for c in combinations(atoms, size))
+    return next((s for s in subsets if program.run(s, upper)[root]), None)
 
 
 # --------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Brute-force reference implementations, independent of the library evaluator.
 
-Only the formula AST classes are shared.  Satisfaction here works on plain
-(here, there, times) tuples with explicit world tags and index loops, and the
-bounded trace space is generated with its own nested products, so agreement
-with the library is a meaningful cross-check.
+Only the formula AST classes, metric and first-order, are shared.
+Satisfaction here works on plain (here, there, times) tuples, or a domain
+and atom sets, with explicit world tags and index loops or variable
+bindings, and the bounded trace space is generated with its own nested
+products, so agreement with the library is a meaningful cross-check.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
+from metricht import fom
 from metricht.syntax import (
     And, Atom, Bottom, Implies, Next, Or, Prev, Release, Since, Trigger, Until,
 )
@@ -78,6 +80,48 @@ def sat(here, there, times, k, phi, world="h"):
             if not any(sat(here, there, times, i, phi.lhs, world) for i in range(j + 1, k + 1)):
                 return False
         return True
+    raise TypeError(phi)
+
+
+def fo_sat(domain, here, there, phi, env=None, world="h"):
+    """First-order here-and-there satisfaction, one variable binding at a time.
+
+    here/there hold (name, point) atoms; world 'h' is the here-world, where
+    implication also holds in the there-world, and 't' the there-world.  A
+    time point outside the domain raises ValueError when it is reached."""
+    env = {} if env is None else env
+    atoms = here if world == "h" else there
+
+    def term(t):
+        if isinstance(t, fom.Var):
+            return env[t.name]
+        if t.value not in domain:
+            raise ValueError(f"time point {t.value} lies outside the domain")
+        return t.value
+
+    if isinstance(phi, fom.Top):
+        return True
+    if isinstance(phi, fom.Bot):
+        return False
+    if isinstance(phi, fom.Pred):
+        return (phi.name, term(phi.arg)) in atoms
+    if isinstance(phi, fom.Diff):
+        left, right = term(phi.left), term(phi.right)
+        return phi.delta is None or left - right <= phi.delta
+    if isinstance(phi, fom.And):
+        return fo_sat(domain, here, there, phi.lhs, env, world) and \
+            fo_sat(domain, here, there, phi.rhs, env, world)
+    if isinstance(phi, fom.Or):
+        return fo_sat(domain, here, there, phi.lhs, env, world) or \
+            fo_sat(domain, here, there, phi.rhs, env, world)
+    if isinstance(phi, fom.Implies):
+        worlds = ("h", "t") if world == "h" else ("t",)
+        return all(not fo_sat(domain, here, there, phi.lhs, env, w)
+                   or fo_sat(domain, here, there, phi.rhs, env, w) for w in worlds)
+    if isinstance(phi, (fom.Forall, fom.Exists)):
+        test = all if isinstance(phi, fom.Forall) else any
+        return test(fo_sat(domain, here, there, phi.body, {**env, phi.var.name: t}, world)
+                    for t in domain)
     raise TypeError(phi)
 
 

@@ -283,6 +283,16 @@ def test_qht_evaluation_errors_name_the_interpretation(capsys, tmp_path, text, i
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("flags", [[], ["--equilibrium"]], ids=["sat", "equilibrium"])
+def test_qht_refuses_a_point_outside_the_domain_whatever_decides_first(capsys, tmp_path, flags):
+    sentence = tmp_path / "s.fom"
+    sentence.write_text("#false & p(9)")
+    interp = tmp_path / "i.json"
+    interp.write_text(json.dumps({"domain": [0]}))
+    assert main(["qht", "--sentence", str(sentence), "--interp", str(interp), *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {interp}: time point 9 lies outside the domain\n")
+
+
 def test_models_non_strict(run, tmp_path):
     theory = tmp_path / "zero.lp"
     theory.write_text("X[0..0] p\n")
@@ -305,9 +315,13 @@ def test_usage_errors(run, tmp_path):
     assert code == 2
 
 
-def test_check_at_out_of_range(run, traffic, member):
-    code, _ = run("check", traffic, member, "--at", "9")
-    assert code == 2
+def test_check_at_out_of_range(capsys, tmp_path, traffic, member):
+    assert main(["check", traffic, member, "--at", "9"]) == 2
+    assert capsys.readouterr().err == f"error: --at 9: {member} has states 0 to 2\n"
+    single = tmp_path / "single.json"
+    single.write_text(json.dumps({"states": [{"time": 0, "there": ["red"]}]}))
+    assert main(["check", traffic, str(single), "--at", "3"]) == 2
+    assert capsys.readouterr().err == f"error: --at 3: {single} has states 0 to 0\n"
 
 
 GOOD_STATE = {"time": 0, "there": ["red"]}

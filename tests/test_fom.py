@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from metricht.fom import (
     qht_sat, simplify_fom, translate,
 )
 from metricht.parser import ParseError, parse_formula, parse_theory
-from metricht.semantics import mht_sat, state_bits, strictness_axiom
+from metricht.semantics import Program, mht_sat, strictness_axiom
 from metricht.equilibrium import is_equilibrium, enumerate_equilibrium
 from metricht.syntax import (
     And, Atom, BOT, FULL, Implies as KImplies, Interval, Next, Or, Prev, Release, Since,
@@ -105,6 +106,10 @@ def test_qht_sat_point_outside_domain():
         qht_sat(interp, Pred("p", Point(3)))
     with pytest.raises(ValueError, match="outside"):
         qht_sat(interp, Diff(Point(0), 0, Point(9)))
+    # refused when the program is bound, whatever decides the sentence first
+    for text in ("#false & p(9)", "p(0) | 0 <={w} 9", "!x (x <={0} 0 -> ?y #true | q(4))"):
+        with pytest.raises(ValueError, match="outside"):
+            qht_sat(interp, parse_fom(text))
 
 
 def test_qht_sat_two_worlds():
@@ -125,6 +130,63 @@ def test_difference_excluded_middle():
         d = Diff(Var("a"), delta, Var("b"))
         em = Forall(Var("a"), Forall(Var("b"), fom.Or(d, fom.fneg(d))))
         assert qht_sat(interp, em)
+
+
+def test_qht_takes_no_frame_per_level():
+    # 10,000 nested quantifiers over one shadowed name, and a 10,000-part conjunction
+    x, deep = Var("x"), Pred("p", Var("x"))
+    for _ in range(10_000):
+        deep = Forall(x, Implies(Pred("p", x), deep))
+    wide = fom.conj([Pred("p", Point(0))] * 10_000)
+    interp = QHTInterpretation((0, 1), frozenset([("p", 0)]), frozenset([("p", 0), ("p", 1)]))
+    with stack_headroom():
+        assert qht_sat(interp, deep) and qht_sat(interp, wide)
+        assert first_smaller_model(interp.domain, interp.there, wide) == frozenset([("p", 0)])
+
+
+# Every connective and quantifier, shadowed names, subformulas with 0-3 free
+# variables, time points, w bounds and negative deltas; open formulas are
+# compared on their whole table.
+TABLE_FORMULAS = (
+    "#true", "#false", "p(0)", "p(0) & q(0)", "p(0) | q(0)", "p(0) -> q(0)",
+    "(p(0) -> #false) -> #false", "!x p(x)", "?x (p(x) & q(x))", "!x (p(x) -> q(x))",
+    "!x ((p(x) -> #false) | p(x))", "!x ?x p(x)", "?x (q(x) & !x (q(x) -> p(x)))",
+    "!x ?y (x <={-1} y & p(y))", "!x !y (x <={0} y & y <={0} x -> (p(x) -> p(y)))",
+    "?x ?y ?z (x <={-1} y & y <={-1} z & (p(x) -> q(z)))",
+    "!x (p(x) -> ?y (x <={-1} y & y <={2} x & !z (y <={0} z & z <={1} y -> q(z))))",
+    "!x (x <={w} 0 -> p(x))", "?x (0 <={-2} x & q(x))", "!x (x <={1} 0 -> p(x) | q(x))",
+    "0 <={w} 0", "0 <={-1} 0", "?x x <={0} x", "!x (0 <={w} x | p(x)) & ?y y <={-1} 0",
+    "p(x)", "x <={0} y", "p(x) -> q(y)", "?z (x <={-1} z & z <={-1} y & p(z))",
+    "x <={-1} y & y <={-1} z -> p(y)", "q(z) | !y (y <={0} x -> p(y))", "?x p(x) & q(x)",
+)
+
+
+def test_fom_tables_match_oracle_exhaustively():
+    # every here <= there interpretation over {p, q} on domains of 1-3 points
+    # containing 0: bit v of an open formula's table (its free variables
+    # ordered by name, the last least significant) is the oracle's verdict
+    # with those variables bound to the domain points v spells
+    import oracle
+    formulas = [parse_fom(text) for text in TABLE_FORMULAS]
+    programs, checked = [fom.Program([phi]) for phi in formulas], 0
+    assert programs[-1].free == ["x"] and programs[-3].free == ["x", "y", "z"]
+    for domain in ((0,), (0, 1), (0, 2), (0, 1, 3)):
+        bound, atoms = [p.at(domain) for p in programs], [(p, t) for p in "pq" for t in domain]
+        for code in range(3 ** len(atoms)):  # per atom: in neither world, there only, both
+            digits = [code // 3 ** i % 3 for i in range(len(atoms))]
+            there = frozenset(a for a, d in zip(atoms, digits) if d)
+            here = frozenset(a for a, d in zip(atoms, digits) if d == 2)
+            for phi, program in zip(formulas, bound):
+                upper, root = program.run(there), program.roots[0]
+                worlds = {"h": program.run(here, upper)[root], "t": upper[root]}
+                for v, values in enumerate(product(domain, repeat=len(program.free))):
+                    env = dict(zip(program.free, values))
+                    for world, table in worlds.items():
+                        expected = oracle.fo_sat(domain, here, there, phi, env, world)
+                        assert table >> v & 1 == expected, \
+                            (format_fom(phi), domain, here, there, env, world)
+                        checked += 1
+    assert checked == 153_000
 
 
 # ------------------------------------------------------------------ induced interpretations
@@ -169,21 +231,27 @@ def _depth_one_formulas():
 def test_model_correspondence():
     # the translation theorem over a whole bounded space: every strict
     # here-and-there trace over {p, q} with at most 2 states and final time
-    # <= 3 (252 traces), every state, every depth-1 formula
+    # <= 3 (252 traces), every state, every depth-1 formula.  translate(phi, x)
+    # with x free gets a table whose bit k is its truth at the k-th time point,
+    # which must equal phi's state bits, in the here-world and the there-world
     import oracle
     formulas = _depth_one_formulas()
     assert len(formulas) == 198
-    sentences = {(phi, t): translate(phi, t) for phi in formulas for t in range(4)}
+    sentences = fom.Program([translate(phi, Var("x")) for phi in formulas])
+    metric = Program(formulas)
     checks = 0
     for here, there, times in oracle.bounded_space(("p", "q"), 2, 3, strict=True):
-        trace = TimedHTTrace(here, there, times)
-        interp = induced_interpretation(trace)
-        bits = state_bits(trace, formulas)  # every formula at every state, in one pass
-        for k in range(trace.length):
-            for phi, verdicts in zip(formulas, bits):
-                assert (verdicts >> k & 1 == 1) == qht_sat(interp, sentences[phi, times[k]]), \
-                    (format_formula(phi), trace, k)
-                checks += 1
+        interp = induced_interpretation(TimedHTTrace(here, there, times))
+        bound, timed = sentences.at(times), metric.at(times)
+        upper = bound.run(interp.there)
+        lower = bound.run(interp.here, upper)
+        pairs = zip(formulas, sentences.roots, timed.bits(here, there), timed.bits(there, there))
+        for phi, root, here_bits, there_bits in pairs:
+            # a translation that never mentions x has a 1-bit table: the same at every point
+            spread = 1 if sentences.nodes[root][4] else (1 << len(times)) - 1
+            assert (lower[root] * spread, upper[root] * spread) == (here_bits, there_bits), \
+                (format_formula(phi), here, there, times)
+            checks += len(times)
     assert checks == 98_010
 
     # deeper formulas, sampled
