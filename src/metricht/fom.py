@@ -210,10 +210,7 @@ def _tr(phi: mf.Formula, x: Term, fresh) -> FOMFormula:
 # Bound variables are finally renamed x, y, z, x1, ... in traversal order.
 
 def simplify_fom(phi: FOMFormula) -> FOMFormula:
-    prev, cur = None, phi
-    while cur != prev:
-        prev, cur = cur, _simp(cur)
-    return _rename(cur)
+    return _rename(_simp(phi))
 
 
 def _conjuncts(phi: FOMFormula) -> list[FOMFormula]:
@@ -222,27 +219,32 @@ def _conjuncts(phi: FOMFormula) -> list[FOMFormula]:
     return [phi]
 
 
+def _and(simplified: Iterable[FOMFormula]) -> FOMFormula:
+    """The conjunction of simplified formulas, flattened, so that one pass is a fixpoint."""
+    parts, diffs = [], {}
+    for part in (c for phi in simplified for c in _conjuncts(phi)):
+        if isinstance(part, Bot):
+            return BOT
+        if isinstance(part, Top) or part in parts:
+            continue
+        if isinstance(part, Diff):
+            key = (part.left, part.right)
+            if key in diffs:
+                old = diffs[key]
+                if part.delta < old.delta:
+                    parts[parts.index(old)] = part
+                    diffs[key] = part
+                continue
+            diffs[key] = part
+        parts.append(part)
+    return conj(parts) if parts else TOP
+
+
 def _simp(phi: FOMFormula) -> FOMFormula:
     if isinstance(phi, Diff):
         return TOP if phi.delta is None else phi
     if isinstance(phi, And):
-        parts, diffs = [], {}
-        for part in map(_simp, _conjuncts(phi)):
-            if isinstance(part, Bot):
-                return BOT
-            if isinstance(part, Top) or part in parts:
-                continue
-            if isinstance(part, Diff):
-                key = (part.left, part.right)
-                if key in diffs:
-                    old = diffs[key]
-                    if part.delta < old.delta:
-                        parts[parts.index(old)] = part
-                        diffs[key] = part
-                    continue
-                diffs[key] = part
-            parts.append(part)
-        return conj(parts) if parts else TOP
+        return _and(map(_simp, _conjuncts(phi)))
     if isinstance(phi, Or):
         lhs, rhs = _simp(phi.lhs), _simp(phi.rhs)
         if isinstance(lhs, Top) or isinstance(rhs, Top):
@@ -261,7 +263,7 @@ def _simp(phi: FOMFormula) -> FOMFormula:
         if isinstance(lhs, Diff) and isinstance(rhs, Bot):
             return Diff(lhs.right, -lhs.delta - 1, lhs.left)
         if isinstance(rhs, Implies):
-            return Implies(And(lhs, rhs.lhs), rhs.rhs)
+            return Implies(_and((lhs, rhs.lhs)), rhs.rhs)
         return Implies(lhs, rhs)
     if isinstance(phi, (Forall, Exists)):
         body = _simp(phi.body)
@@ -352,7 +354,9 @@ class Program:
     per subformula its class, test, operands, variables and whether it reads a
     predicate; `roots` are the formulas' nodes.  A variable is (1, its binder's
     depth), so shadowing needs no environment, or (0, name) if free.  Bound to
-    D points, a node with k variables gets D^k bits, the deepest the lowest."""
+    D points, a node with k variables gets D^k bits, the deepest the lowest.  A
+    connective's operand with fewer variables goes through a node of kind None,
+    which widens node a to the variables `free`."""
 
     def __init__(self, formulas):
         number, points, done = {}, {}, []  # done: (number, variables, reads) per operand
@@ -366,7 +370,11 @@ class Program:
                               (phi.lhs, env, depth, False)]
                     continue
                 (b, free_b, reads_b), (a, free_a, reads_a) = done.pop(), done.pop()
-                node = (kind, None, a, b, tuple(sorted({*free_a, *free_b})), reads_a or reads_b)
+                free = tuple(sorted({*free_a, *free_b}))
+                a, b = [c if f == free else number.setdefault((None, None, c, 0, free, r),
+                                                              len(number))
+                        for c, f, r in ((a, free_a, reads_a), (b, free_b, reads_b))]
+                node = (kind, None, a, b, free, reads_a or reads_b)
             elif kind is Forall or kind is Exists:
                 if not ready:
                     stack += [(phi, env, depth, True),
@@ -395,9 +403,11 @@ class Program:
             done.append((number.setdefault(node, len(number)), node[4], node[5]))
         self.nodes, self.roots, self.points = list(number), [n for n, _, _ in done], tuple(points)
         self.free = sorted({key[1] for _, free, _ in done for key in free})
+        self.order = {r: [i for i, n in enumerate(self.nodes) if n[5] is r] for r in (False, True)}
 
     def at(self, domain) -> Program:
-        """This program bound to a domain: the same nodes, refusing a time point outside it."""
+        """This program bound to a domain: the same nodes, refusing a time point outside it,
+        with the tables of the nodes that read no predicate, the same in every run."""
         bound = object.__new__(Program)  # not compiled again
         bound.__dict__.update(self.__dict__)
         bound.domain = domain = tuple(sorted(set(domain)))
@@ -405,29 +415,31 @@ class Program:
         for point in self.points:
             if point not in bound.index:
                 raise ValueError(f"time point {point} lies outside the domain")
+        bound.tables = bound._tables([None] * len(self.nodes), (), None, False)
         return bound
 
     def run(self, atoms, upper=None) -> list[int]:
         """Every node's bits in the world of the (name, point) `atoms`; see `qht_sat`."""
-        index, nodes, size, rows, out = self.index, self.nodes, len(self.domain), {}, []
+        return self._tables(self.tables[:], atoms, upper, True)
+
+    def _tables(self, out, atoms, upper, reads) -> list[int]:
+        """`out` with the tables of the nodes whose `reads` is given filled in."""
+        index, nodes, size, rows = self.index, self.nodes, len(self.domain), {}
         for name, point in atoms:
             rows[name] = rows.get(name, 0) | 1 << index[point]
-        for kind, detail, a, b, free, reads in nodes:
-            if upper is not None and not reads:
-                value = upper[len(out)]
-            elif kind is Pred:  # a row, or its bit at a time point
+        for i in self.order[reads]:
+            kind, detail, a, b, free, _ = nodes[i]
+            if kind is Pred:  # a row, or its bit at a time point
                 value = rows.get(detail[0], 0)
                 value = value if detail[1] is None else value >> index[detail[1]] & 1
-            elif kind is And or kind is Or or kind is Implies:
-                lhs, rhs = out[a], out[b]
-                if nodes[a][4] != free or nodes[b][4] != free:
-                    lhs, rhs = self._widen(lhs, a, free), self._widen(rhs, b, free)
-                if kind is Implies:
-                    value = ((1 << size ** len(free)) - 1) ^ (lhs & ~rhs)
-                    if upper is not None:
-                        value &= upper[len(out)]
-                else:
-                    value = lhs & rhs if kind is And else lhs | rhs
+            elif kind is And or kind is Or:
+                value = out[a] & out[b] if kind is And else out[a] | out[b]
+            elif kind is Implies:
+                value = ((1 << size ** len(free)) - 1) ^ (out[a] & ~out[b])
+                if upper is not None:
+                    value &= upper[i]
+            elif kind is None:
+                value = self._widen(out[a], a, free)
             elif kind is Forall or kind is Exists:  # fold the innermost variable:
                 value = table = out[a]  # OR (AND for !) over D shifts, then every D-th bit
                 for s in range(1, size):
@@ -441,12 +453,15 @@ class Program:
                     value ^= (1 << size ** len(free)) - 1
             else:
                 value = 1 if kind is Top else 0
-            out.append(value)
+            out[i] = value
         return out
 
     def _widen(self, table: int, node: int, want: tuple) -> int:
-        """A node's table widened to the variables `want`: blocks spread D apart, repeated."""
+        """A node's table widened to the variables `want`: when they add only outer ones, one
+        multiply by a repunit; else blocks spread D apart, repeated, per variable."""
         size, have = len(self.domain), list(self.nodes[node][4])
+        if want[len(want) - len(have):] == tuple(have):
+            return table * (((1 << size ** len(want)) - 1) // ((1 << size ** len(have)) - 1))
         for key in set(want).difference(have):
             block = size ** sum(key < h for h in have)
             text = format(table, f"0{size ** len(have)}b")
@@ -466,8 +481,8 @@ def compile_sentence(phi: FOMFormula | Program) -> Program:
 
 
 def qht_sat(interp: QHTInterpretation, phi: FOMFormula | Program) -> bool:
-    """Satisfaction of phi, a sentence or its Program's first, in the here-world: the
-    there-world's run masks its implications and decides what reads no predicate."""
+    """Satisfaction of phi, a sentence or its Program's first, in the here-world, whose
+    implications the there-world's run masks."""
     program = compile_sentence(phi).at(interp.domain)
     upper, root = program.run(interp.there), program.roots[0]
     return (upper if interp.is_total() else program.run(interp.here, upper))[root] == 1
@@ -479,13 +494,16 @@ MAX_SUBSET_ATOMS = 20
 def first_smaller_model(domain: Iterable[int], there: Iterable[tuple[str, int]],
                         phi: FOMFormula | Program) -> frozenset | None:
     """The first proper subset of `there` still satisfying phi, if any, by ascending
-    size and lexicographically within a size; the there-world runs once."""
+    size and lexicographically within a size, or `there` itself when it does not
+    satisfy phi, which is found before the subset cap applies; the there-world runs once."""
     atoms = sorted(set(there))
-    if len(atoms) > MAX_SUBSET_ATOMS:
-        raise ValueError(f"subset search capped at {MAX_SUBSET_ATOMS} atoms, got {len(atoms)}")
     full = frozenset(atoms)  # an atom outside the domain is refused
     program = compile_sentence(phi).at(QHTInterpretation(tuple(domain), full, full).domain)
     upper, root = program.run(atoms), program.roots[0]
+    if not upper[root]:
+        return full
+    if len(atoms) > MAX_SUBSET_ATOMS:
+        raise ValueError(f"subset search capped at {MAX_SUBSET_ATOMS} atoms, got {len(atoms)}")
     subsets = (frozenset(c) for size in range(len(atoms)) for c in combinations(atoms, size))
     return next((s for s in subsets if program.run(s, upper)[root]), None)
 

@@ -1,6 +1,7 @@
 """Brute-force reference implementations, independent of the library evaluator.
 
-Only the formula AST classes, metric and first-order, are shared.
+Only the formula AST classes, metric and first-order, are shared, and the
+renaming of bound variables that closes fom.simplify_fom.
 Satisfaction here works on plain (here, there, times) tuples, or a domain
 and atom sets, with explicit world tags and index loops or variable
 bindings, and the bounded trace space is generated with its own nested
@@ -9,6 +10,7 @@ products, so agreement with the library is a meaningful cross-check.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
 
 from metricht import fom
@@ -123,6 +125,67 @@ def fo_sat(domain, here, there, phi, env=None, world="h"):
         return test(fo_sat(domain, here, there, phi.body, {**env, phi.var.name: t}, world)
                     for t in domain)
     raise TypeError(phi)
+
+
+def simplify_fixpoint(phi):
+    """fom.simplify_fom's rules one pass at a time, repeated until nothing changes.
+
+    A pass simplifies each operand once: a conjunct that simplifies to a
+    conjunction stays nested, and the conjunction that currying builds is left
+    as it is, until the next pass.  Bound variables are then renamed by
+    fom._rename, as simplify_fom does."""
+    prev, cur = None, phi
+    while cur != prev:
+        prev, cur = cur, _simp_once(cur)
+    return fom._rename(cur)
+
+
+def _conjuncts(phi):
+    if isinstance(phi, fom.And):
+        return _conjuncts(phi.lhs) + _conjuncts(phi.rhs)
+    return [phi]
+
+
+def _simp_once(phi):
+    if isinstance(phi, fom.Diff):
+        return fom.TOP if phi.delta is None else phi
+    if isinstance(phi, fom.And):
+        parts, diffs = [], {}
+        for part in map(_simp_once, _conjuncts(phi)):
+            if isinstance(part, fom.Bot):
+                return fom.BOT
+            if isinstance(part, fom.Top) or part in parts:
+                continue
+            if isinstance(part, fom.Diff):
+                key = (part.left, part.right)
+                if key in diffs:  # keep the tightest bound, where the first one stood
+                    if part.delta < diffs[key].delta:
+                        parts[parts.index(diffs[key])] = diffs[key] = part
+                    continue
+                diffs[key] = part
+            parts.append(part)
+        return reduce(fom.And, parts) if parts else fom.TOP
+    if isinstance(phi, fom.Or):
+        lhs, rhs = _simp_once(phi.lhs), _simp_once(phi.rhs)
+        if isinstance(lhs, fom.Top) or isinstance(rhs, fom.Top):
+            return fom.TOP
+        return rhs if isinstance(lhs, fom.Bot) else lhs if isinstance(rhs, fom.Bot) \
+            else fom.Or(lhs, rhs)
+    if isinstance(phi, fom.Implies):
+        lhs, rhs = _simp_once(phi.lhs), _simp_once(phi.rhs)
+        if isinstance(rhs, fom.Top) or isinstance(lhs, fom.Bot):
+            return fom.TOP
+        if isinstance(lhs, fom.Top):
+            return rhs
+        if isinstance(lhs, fom.Diff) and isinstance(rhs, fom.Bot):
+            return fom.Diff(lhs.right, -lhs.delta - 1, lhs.left)
+        if isinstance(rhs, fom.Implies):
+            return fom.Implies(fom.And(lhs, rhs.lhs), rhs.rhs)
+        return fom.Implies(lhs, rhs)
+    if isinstance(phi, (fom.Forall, fom.Exists)):
+        body = _simp_once(phi.body)
+        return body if isinstance(body, (fom.Top, fom.Bot)) else type(phi)(phi.var, body)
+    return phi
 
 
 def derived_sat(trace, k, name, interval, arg):

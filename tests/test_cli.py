@@ -283,6 +283,18 @@ def test_qht_evaluation_errors_name_the_interpretation(capsys, tmp_path, text, i
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+def test_qht_equilibrium_names_a_failed_there_world_before_the_subset_cap(run, tmp_path):
+    # 21 there-atoms, one more than the subset scan takes, but the there-world
+    # is no model of the sentence, and that verdict comes first
+    sentence = tmp_path / "s.fom"
+    sentence.write_text("!x (p(x) -> q(x))")
+    interp = tmp_path / "i.json"
+    interp.write_text(json.dumps({"domain": list(range(21)),
+                                  "there": [f"p({t})" for t in range(21)]}))
+    assert run("qht", "--sentence", str(sentence), "--interp", str(interp), "--equilibrium") == \
+        (1, "NON-EQ (the there-world is not a model)\n")
+
+
 @pytest.mark.parametrize("flags", [[], ["--equilibrium"]], ids=["sat", "equilibrium"])
 def test_qht_refuses_a_point_outside_the_domain_whatever_decides_first(capsys, tmp_path, flags):
     sentence = tmp_path / "s.fom"

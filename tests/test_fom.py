@@ -91,6 +91,30 @@ def test_simplify_preserves_satisfaction():
         assert qht_sat(interp, sentence) == qht_sat(interp, simplify_fom(sentence))
 
 
+def test_simplify_is_one_pass_to_the_fixpoint():
+    # simplify_fom runs _simp once; oracle.simplify_fixpoint applies the same
+    # rules one pass at a time until nothing changes.  On random formulas and
+    # the traffic rules translated at anchors 0-2 they agree and a second _simp
+    # changes nothing, and some of these sentences take the reference more
+    # than one pass
+    import oracle
+    rng = random.Random(45)
+    nonempty = lambda r: gen_interval(r, nonempty_only=True)
+    formulas = [gen_formula(rng, rng.randint(0, 4), interval=nonempty) for _ in range(2000)]
+    formulas += parse_theory("G (red & green -> #false)\nG (~green -> red)\n"
+                             "G (push -> F[1..15) G[0..30] green)\nX[5] push\n").formulas
+    more = 0
+    for phi in formulas:
+        for at in (0, 1, 2):
+            raw = translate(phi, at)
+            once = fom._simp(raw)
+            assert fom._simp(once) == once, format_fom(raw)
+            assert simplify_fom(raw) == oracle.simplify_fixpoint(raw), format_fom(raw)
+            first = oracle._simp_once(raw)
+            more += oracle._simp_once(first) != first
+    assert more >= 10
+
+
 # ------------------------------------------------------------------ satisfaction
 
 def test_qht_sat_difference_atoms():
@@ -165,14 +189,20 @@ def test_fom_tables_match_oracle_exhaustively():
     # every here <= there interpretation over {p, q} on domains of 1-3 points
     # containing 0: bit v of an open formula's table (its free variables
     # ordered by name, the last least significant) is the oracle's verdict
-    # with those variables bound to the domain points v spells
+    # with those variables bound to the domain points v spells.  Every domain
+    # stays bound throughout, and each bound program runs its interpretations
+    # twice, in opposite orders, so a table kept from one run, world or
+    # binding shows in another
     import oracle
     formulas = [parse_fom(text) for text in TABLE_FORMULAS]
     programs, checked = [fom.Program([phi]) for phi in formulas], 0
     assert programs[-1].free == ["x"] and programs[-3].free == ["x", "y", "z"]
-    for domain in ((0,), (0, 1), (0, 2), (0, 1, 3)):
-        bound, atoms = [p.at(domain) for p in programs], [(p, t) for p in "pq" for t in domain]
-        for code in range(3 ** len(atoms)):  # per atom: in neither world, there only, both
+    bindings = [(domain, [p.at(domain) for p in programs])
+                for domain in ((0,), (0, 1), (0, 2), (0, 1, 3))]
+    for second, (domain, bound) in enumerate(bindings + bindings[::-1]):
+        atoms = [(p, t) for p in "pq" for t in domain]
+        codes = range(3 ** len(atoms))  # per atom: in neither world, there only, both
+        for code in reversed(codes) if second >= len(bindings) else codes:
             digits = [code // 3 ** i % 3 for i in range(len(atoms))]
             there = frozenset(a for a, d in zip(atoms, digits) if d)
             here = frozenset(a for a, d in zip(atoms, digits) if d == 2)
@@ -186,7 +216,27 @@ def test_fom_tables_match_oracle_exhaustively():
                         assert table >> v & 1 == expected, \
                             (format_fom(phi), domain, here, there, env, world)
                         checked += 1
-    assert checked == 153_000
+    assert checked == 2 * 153_000
+
+
+def test_translated_sentences_widen_what_reads_a_predicate_by_one_multiply():
+    # a subformula that reads a predicate mentions its anchor and variables
+    # bound inside it, so a connective only adds outer variables to it: the
+    # widening that runs per world and subset is the repunit multiply, and the
+    # block spread is left to constants, computed once per binding
+    rng = random.Random(46)
+    nonempty = lambda r: gen_interval(r, nonempty_only=True)
+    widened = 0
+    for _ in range(500):
+        raw = translate(gen_formula(rng, rng.randint(0, 5), interval=nonempty), Var("x"))
+        for sentence in (raw, simplify_fom(raw)):
+            program = fom.Program([sentence])
+            for kind, _, a, _, free, reads in program.nodes:
+                if kind is None and reads:
+                    have = program.nodes[a][4]
+                    assert free[len(free) - len(have):] == have, format_fom(sentence)
+                    widened += 1
+    assert widened > 500
 
 
 # ------------------------------------------------------------------ induced interpretations
