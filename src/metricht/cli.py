@@ -230,7 +230,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # ParseError and JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:  # the parser, the rewrite passes, fom and Program.chunk recurse
+    except RecursionError:  # the rewrite passes, translate, simplify_fom and Program.chunk recurse
         files = ", ".join(getattr(args, a) for a in ("theory", "left", "right", "sentence")
                           if hasattr(args, a))
         print(f"error: {files or '--formula'}: formula nested too deeply", file=sys.stderr)

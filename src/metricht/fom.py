@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, count
 from typing import Iterable
 
@@ -543,61 +544,36 @@ def _shape(phi: FOMFormula) -> tuple[int, tuple]:
 
 
 # --------------------------------------------------------------------------
-# Parsing the text format back, on the formula parser's tokens and cursor
+# Parsing the text format back, on the formula parser's tokens and precedence parser
 
 class _FOMParser(TokenCursor):
-    def formula(self):
-        lhs = self.disjunction()
-        if self.peek()[0] == "->":
-            self.next()
-            return Implies(lhs, self.formula())
-        return lhs
+    PREFIX = {"!": Forall, "?": Exists}
+    BINARY = {"->": (1, True, Implies), "|": (2, False, Or), "&": (3, False, And)}
 
-    def disjunction(self):
-        lhs = self.conjunction()
-        while self.peek()[0] == "|":
-            self.next()
-            lhs = Or(lhs, self.conjunction())
-        return lhs
+    def bind(self, tok, build):
+        if tok[0] in self.PREFIX:  # a quantifier: its variable follows
+            return partial(build, Var(self.expect("name", "a variable")[1]))
+        return build
 
-    def conjunction(self):
-        lhs = self.unary()
-        while self.peek()[0] == "&":
-            self.next()
-            lhs = And(lhs, self.unary())
-        return lhs
-
-    def term(self) -> Term:
-        tok = self.next()
+    def term(self, tok) -> Term:
         if tok[0] == "num":
             return Point(int(tok[1]))
         if tok[0] == "name":
             return Var(tok[1])
         self.fail(f"expected a term, found {tok[1] or 'end of input'!r}", tok)
 
-    def unary(self):
-        kind, text, _ = self.peek()
-        if kind in ("!", "?"):
-            self.next()
-            var = Var(self.expect("name", "a variable")[1])
-            return (Forall if kind == "!" else Exists)(var, self.unary())
-        if kind == "(":
-            self.next()
-            phi = self.formula()
-            self.expect(")")
-            return phi
+    def primary(self, tok) -> FOMFormula:
+        kind, text, _ = tok
         if kind in ("#true", "#false"):
-            self.next()
             return TOP if kind == "#true" else BOT
-        if kind == "name" and self.peek(1)[0] == "(":
+        if kind == "name" and self.peek()[0] == "(":
             self.next()
-            self.next()
-            arg = self.term()
+            arg = self.term(self.next())
             self.expect(")")
             return Pred(text, arg)
-        first = self.term()
+        first = self.term(tok)
         raw = self.expect("diff", "a difference bound")[1][3:-1]
-        return Diff(first, None if raw == "w" else int(raw), self.term())
+        return Diff(first, None if raw == "w" else int(raw), self.term(self.next()))
 
 
 def parse_fom(text: str) -> FOMFormula:

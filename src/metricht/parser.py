@@ -1,29 +1,32 @@
-"""Recursive-descent parser for the ASCII formula and theory syntax.
+"""Operator-precedence parser for the ASCII formula and theory syntax.
 
-Grammar (loosest to tightest): <-> chains left, -> associates right, then
-|, &, the binary temporal operators U/R/S/T (right-associative, unary-level
-left operand), and the unary operators ~ X wX Y wY G F H O.  Temporal
-operators take an optional interval written [m..n) [m..n] (m..n) (m..n]
-[m..) [m] <=n >=m with ``w`` for the unbounded upper bound; a missing
-interval means [0..w).  Atoms are lowercase identifiers.
+Operators (loosest to tightest): <-> chains left, -> associates right, then
+|, &, the binary temporal operators U/R/S/T (right-associative), and the
+prefix operators ~ X wX Y wY G F H O.  Temporal operators take an optional
+interval written [m..n) [m..n] (m..n) (m..n] [m..) [m] <=n >=m with ``w``
+for the unbounded upper bound, after the operator; a missing interval means
+[0..w).  Atoms are lowercase identifiers.  The parser keeps its operands and
+operators on explicit stacks, so nesting depth costs no Python frames.
 
 Theories are line-oriented: ``%`` starts a comment, blank lines are skipped,
 and a formula ends at end-of-line unless brackets remain open.
 
 The first-order sentence grammar (fom.py) runs on the same tokenizer and
-token cursor, so both languages report errors as ParseError with a line
-and column; each grammar rejects the tokens only the other one uses.
+parser with its own hooks, so both languages report errors as ParseError
+with a line and column; each grammar rejects the tokens only the other one
+uses.
 """
 
 from __future__ import annotations
 
 import re
+from functools import partial
 from typing import NoReturn
 
 from .syntax import (
     And, Atom, BOT, FINAL, Formula, INITIAL, Implies, IntervalError, Interval,
     Next, Or, Prev, Release, Since, Theory, Trigger, TRUE, Until, always,
-    eventually, historically, interval_from_bounds, neg, once, weak_next,
+    eventually, historically, iff, interval_from_bounds, neg, once, weak_next,
     weak_prev,
 )
 
@@ -56,10 +59,7 @@ _TOKEN_RE = re.compile(
 )
 
 ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")  # atom names, matched in full
-_UNARY_OPS = {"X": Next, "wX": weak_next, "Y": Prev, "wY": weak_prev,
-              "G": always, "F": eventually, "H": historically, "O": once}
 _CONSTANTS = {"#true": TRUE, "#false": BOT, "#init": INITIAL, "#final": FINAL}
-_BINARY_OPS = {"U": Until, "R": Release, "S": Since, "T": Trigger}
 
 
 def _tokenize(text: str, line_offset: int = 1) -> list[Token]:
@@ -75,11 +75,12 @@ def _tokenize(text: str, line_offset: int = 1) -> list[Token]:
 
 
 class TokenCursor:
-    """A position in the tokens of one text.
-
-    The formula and the first-order sentence grammars subclass it; each
-    defines its start rule as ``formula``.
-    """
+    """A position in the tokens of one text, and the operator-precedence parser
+    both grammars run on.  A grammar supplies its operators in `PREFIX` (text
+    -> builder) and `BINARY` (text -> precedence, right-associative, builder),
+    `bind`, which reads what follows an operator into its builder, and
+    `primary`, which reads an operand with no operator.  Prefix operators bind
+    tightest."""
 
     def __init__(self, text: str, line_offset: int = 1):
         self.text, self.line_offset = text, line_offset
@@ -106,6 +107,41 @@ class TokenCursor:
             self.fail(f"expected {what or repr(kind)}, found {tok[1] or 'end of input'!r}", tok)
         return tok
 
+    def formula(self):
+        """One expression, by precedence climbing on an explicit operand stack and
+        operator stack: nesting costs no Python frame.  The operator stack holds
+        None for an open '(' (and the text's start), (None, build) for a prefix
+        operator and (precedence, build) for a binary one."""
+        operands, ops = [], [None]
+        while True:
+            tok = self.next()
+            if tok[0] == "(":
+                ops.append(None)
+                continue
+            if tok[1] in self.PREFIX:
+                ops.append((None, self.bind(tok, self.PREFIX[tok[1]])))
+                continue
+            operand = self.primary(tok)
+            while True:  # apply the prefixes and close brackets up to a binary operator
+                while ops[-1] is not None and ops[-1][0] is None:
+                    operand = ops.pop()[1](operand)
+                tok = self.peek()
+                if tok[1] in self.BINARY:
+                    break
+                while ops[-1] is not None:
+                    operand = ops.pop()[1](operands.pop(), operand)
+                ops.pop()
+                if not ops:
+                    return operand
+                self.expect(")")
+            self.next()
+            precedence, right, build = self.BINARY[tok[1]]
+            while ops[-1] is not None and (
+                    ops[-1][0] > precedence or ops[-1][0] == precedence and not right):
+                operand = ops.pop()[1](operands.pop(), operand)
+            operands.append(operand)
+            ops.append((precedence, self.bind(tok, build)))
+
     def parse(self):
         """Run the start rule over the whole text."""
         result = self.formula()
@@ -116,6 +152,12 @@ class TokenCursor:
 
 
 class _Parser(TokenCursor):
+    PREFIX = {"~": neg, "X": Next, "wX": weak_next, "Y": Prev, "wY": weak_prev,
+              "G": always, "F": eventually, "H": historically, "O": once}
+    BINARY = {"<->": (1, False, iff), "->": (2, True, Implies), "|": (3, False, Or),
+              "&": (4, False, And), "U": (5, True, Until), "R": (5, True, Release),
+              "S": (5, True, Since), "T": (5, True, Trigger)}
+
     # -- intervals ---------------------------------------------------------
 
     def interval_ahead(self) -> bool:
@@ -156,62 +198,19 @@ class _Parser(TokenCursor):
     def optional_interval(self) -> Interval:
         return self.parse_interval() if self.interval_ahead() else Interval(0, None)
 
-    # -- formulas ----------------------------------------------------------
+    # -- operators and operands --------------------------------------------
 
-    def formula(self) -> Formula:
-        lhs = self.implication()
-        while self.peek()[0] == "<->":
-            self.next()
-            rhs = self.implication()
-            lhs = And(Implies(lhs, rhs), Implies(rhs, lhs))
-        return lhs
+    def bind(self, tok: Token, build):
+        if tok[0] == "name":  # a temporal operator: an interval may follow
+            return partial(build, self.optional_interval())
+        if tok[0] == "~" and self.interval_ahead():
+            self.fail("negation takes no interval")
+        return build
 
-    def implication(self) -> Formula:
-        lhs = self.disjunction()
-        if self.peek()[0] == "->":
-            self.next()
-            return Implies(lhs, self.implication())
-        return lhs
-
-    def disjunction(self) -> Formula:
-        lhs = self.conjunction()
-        while self.peek()[0] == "|":
-            self.next()
-            lhs = Or(lhs, self.conjunction())
-        return lhs
-
-    def conjunction(self) -> Formula:
-        lhs = self.binary_temporal()
-        while self.peek()[0] == "&":
-            self.next()
-            lhs = And(lhs, self.binary_temporal())
-        return lhs
-
-    def binary_temporal(self) -> Formula:
-        lhs = self.unary()
-        op = _BINARY_OPS.get(self.peek()[1])
-        if op is None:
-            return lhs
-        self.next()
-        interval = self.optional_interval()
-        return op(interval, lhs, self.binary_temporal())
-
-    def unary(self) -> Formula:
-        tok = self.next()
+    def primary(self, tok: Token) -> Formula:
         kind, text, _ = tok
-        if kind == "~":
-            if self.interval_ahead():
-                self.fail("negation takes no interval")
-            return neg(self.unary())
-        if text in _UNARY_OPS:
-            interval = self.optional_interval()
-            return _UNARY_OPS[text](interval, self.unary())
         if kind in _CONSTANTS:
             return _CONSTANTS[kind]
-        if kind == "(":
-            phi = self.formula()
-            self.expect(")")
-            return phi
         if kind == "name" and ATOM_RE.fullmatch(text):
             return Atom(text)
         self.fail("unexpected end of input" if kind == "<eof>"
@@ -234,12 +233,10 @@ def _logical_lines(text: str):
         depth += sum(line.count(c) for c in "([") - sum(line.count(c) for c in ")]")
         if line.strip() or chunk:
             chunk.append(line)
-        if chunk and depth <= 0:
-            joined = "\n".join(chunk)
-            if joined.strip():
-                yield start, joined
+        if chunk and depth <= 0:  # a chunk starts on a line with text
+            yield start, "\n".join(chunk)
             chunk, depth = [], 0
-    if chunk and "".join(chunk).strip():
+    if chunk:
         yield start, "\n".join(chunk)
 
 

@@ -12,7 +12,7 @@ int whose bit i is its truth on trace i (Knuth, TAOCP 4A 7.1).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import cache
 from typing import Iterator
 
@@ -31,10 +31,13 @@ class Program:
 
     `nodes` holds (kind, detail, lhs, rhs) per subformula: the formula class,
     the atom name or window (lower, upper) and the operands' node numbers;
-    `roots` holds each formula's node.  A program bound by `at(tau)` runs
-    traces, building its masks on first use.  Both runs follow one world
-    rule: the there-world is evaluated first, and a here-world implication
-    also needs the there-world's value of its node."""
+    `roots` holds each formula's node.  `chunk_nodes` adds what only `chunk`
+    reads: for & and |, whether the lhs is a & or | too (as detail), and
+    whether the node is no leaf and used more than once, by other nodes or
+    as a root (node 0, a leaf, fills in for a missing operand).  A program
+    bound by `at(tau)` runs traces, building its masks on first use.  Both
+    runs follow one world rule: the there-world is evaluated first, and a
+    here-world implication also needs the there-world's value of its node."""
 
     def __init__(self, formulas):
         number, seen = {}, {}  # node -> its number in post-order; id(subformula) -> number
@@ -50,11 +53,12 @@ class Program:
                         seen[id(phi.arg if one else phi.lhs)], 0 if one else seen[id(phi.rhs)])
             seen[id(phi)] = number.setdefault(node, len(number))
         self.nodes, self.roots = list(number), [seen[id(phi)] for phi in formulas]
+        self.chunk_nodes = []  # shared by the bindings, filled by the first `ht_tables`
 
     def at(self, tau: tuple[int, ...]) -> Program:
         """This program bound to one time map: the same nodes and roots, its own masks."""
         timed = object.__new__(Program)  # not compiled again
-        timed.nodes, timed.roots = self.nodes, self.roots
+        timed.nodes, timed.roots, timed.chunk_nodes = self.nodes, self.roots, self.chunk_nodes
         timed.tau, timed.full, timed._masks = tau, (1 << len(tau)) - 1, {}
         return timed
 
@@ -91,26 +95,42 @@ class Program:
             out.append(value)
         return out
 
-    def chunk(self, node: int, k: int, here: dict, there: dict, full: int) -> int:
+    def chunk(self, node: int, k: int, here: dict, there: dict, full: int, memo: dict,
+              fresh: bool = False) -> int:
         """Bit i: trace i of a chunk satisfies the node at state k, on demand.
 
         here/there map each atom to its per-state cell masks (`ht_tables`); an
-        atom without cells is false everywhere.  ``here is there`` marks the there-world."""
-        kind, detail, a, b = self.nodes[node]
+        atom without cells is false everywhere.  ``here is there`` marks the
+        there-world.  `memo` keeps a shared node's bits by (node, k, world) for
+        the chunk, so a node with many paths to it is evaluated once, `fresh`."""
+        kind, detail, a, b, shared = self.chunk_nodes[node]
+        if shared and not fresh:
+            key = (node, k, here is there)
+            if key not in memo:
+                memo[key] = self.chunk(node, k, here, there, full, memo, True)
+            return memo[key]
         if kind is Atom:
             cells = here.get(detail)
             return cells[k] if cells else 0
-        if kind is And:
-            lhs = self.chunk(a, k, here, there, full)
-            return lhs and lhs & self.chunk(b, k, here, there, full)
-        if kind is Or:
-            lhs = self.chunk(a, k, here, there, full)
-            return full if lhs == full else lhs | self.chunk(b, k, here, there, full)
+        if kind is And or kind is Or:
+            spine = []  # a left spine of & and | (`detail`), walked in a loop, not a frame each
+            while detail:
+                spine.append((kind, b))
+                kind, detail, a, b, _ = self.chunk_nodes[a]
+            out = self.chunk(a, k, here, there, full, memo)
+            while True:  # up the spine, skipping an operand where `and`/`or` would
+                if kind is And and out:
+                    out &= self.chunk(b, k, here, there, full, memo)
+                elif kind is Or and out != full:
+                    out |= self.chunk(b, k, here, there, full, memo)
+                if not spine:
+                    return out
+                kind, b = spine.pop()
         if kind is Implies:
-            out = self.chunk(a, k, here, there, full)
-            out = full ^ (out & ~self.chunk(b, k, here, there, full))
+            out = self.chunk(a, k, here, there, full, memo)
+            out = full ^ (out & ~self.chunk(b, k, here, there, full, memo))
             if out and here is not there:
-                out &= self.chunk(node, k, there, there, full)
+                out &= self.chunk(node, k, there, there, full, memo)
             return out
         if kind is Bottom:
             return 0
@@ -119,7 +139,7 @@ class Program:
             j = k + 1 if kind is Next else k - 1
             d = abs(tau[j] - tau[k]) if 0 <= j < len(tau) else -1
             inside = lower <= d and (upper is None or d < upper)
-            return self.chunk(a, j, here, there, full) if inside else 0
+            return self.chunk(a, j, here, there, full, memo) if inside else 0
         # `pending` holds the undecided traces; R/T are U/S on complemented operands
         flip = full if kind is Release or kind is Trigger else 0
         out, pending = 0, full
@@ -128,11 +148,11 @@ class Program:
             if upper is not None and d >= upper:
                 break
             if d >= lower:
-                rhs = self.chunk(b, j, here, there, full) ^ flip
+                rhs = self.chunk(b, j, here, there, full, memo) ^ flip
                 out |= pending & rhs
                 pending &= ~rhs
             if pending:
-                pending &= self.chunk(a, j, here, there, full) ^ flip
+                pending &= self.chunk(a, j, here, there, full, memo) ^ flip
             if not pending:
                 break
         return out ^ flip
@@ -239,9 +259,16 @@ def ht_tables(program: Program, alphabet: tuple[str, ...],
     in `state_sequences`, and within it the here-sequences as in
     `refinements`.  Yields (first index, valid, cells) per chunk: bit i of
     valid is set when here is included in there at index first + i, and
-    `program.chunk(node, k, *cells)` evaluates a node on the chunk.
+    `program.chunk(node, k, *cells)` evaluates a node on the chunk (cells
+    ends with the chunk's memo).
     """
-    lam = len(program.tau)
+    nodes, lam = program.nodes, len(program.tau)
+    if not program.chunk_nodes:  # once per compiled program: its bindings share the list
+        uses = Counter(program.roots + [c for _, _, a, b in nodes for c in (a, b)])
+        program.chunk_nodes += [
+            (kind, nodes[a][0] in (And, Or) if kind is And or kind is Or else detail, a, b,
+             uses[i] > 1 and kind is not Atom and kind is not Bottom)
+            for i, (kind, detail, a, b) in enumerate(nodes)]
     atoms, offsets, here_bits = _layout(alphabet, there, lam)
     bits = here_bits * (2 if there is None else 1)
     width = min(bits, WIDTH)
@@ -265,7 +292,7 @@ def ht_tables(program: Program, alphabet: tuple[str, ...],
                     valid &= ~(h & ~t)
         else:  # every index is a refinement of there
             upper = {a: [full if a in state else 0 for state in there] for a in alphabet}
-        yield chunk << width, valid, (here, upper, full)
+        yield chunk << width, valid, (here, upper, full, {})
 
 
 def ht_trace(index: int, alphabet: tuple[str, ...], tau: tuple[int, ...],

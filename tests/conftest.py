@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import signal
 import sys
 from contextlib import contextmanager
 
@@ -14,6 +15,7 @@ from metricht.syntax import (
     final, neg, once, weak_next, weak_prev,
 )
 from metricht import fom
+from metricht.parser import _tokenize
 from metricht.traces import TimedHTTrace
 
 ATOMS = ("p", "q")
@@ -39,6 +41,21 @@ def stack_headroom():
         yield
     finally:
         sys.setrecursionlimit(limit)
+
+
+@contextmanager
+def time_limit(seconds: int, what: str):
+    """Within the block, SIGALRM raises TimeoutError after `seconds`."""
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{what} took over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def total_part(trace: TimedHTTrace) -> TimedHTTrace:
@@ -124,6 +141,48 @@ def gen_formula(rng: random.Random, depth: int, *, atoms=ATOMS, impl: bool = Tru
         return unary[op](iv(rng), sub())
     binary = {"until": Until, "release": Release, "since": Since, "trigger": Trigger}
     return binary[op](iv(rng), sub(), sub())
+
+
+def gen_sentence(rng: random.Random, depth: int) -> fom.FOMFormula:
+    """A random first-order sentence, possibly with free variables, of at most this depth."""
+    def term():
+        return fom.Var(rng.choice("xyz")) if rng.random() < 0.7 else fom.Point(rng.randint(0, 12))
+
+    if depth == 0 or rng.random() < 0.25:
+        leaf = rng.randrange(4)
+        if leaf < 2:
+            return fom.Pred(rng.choice(ATOMS), term()) if leaf == 0 else \
+                fom.Diff(term(), rng.choice([None, *range(-3, 4)]), term())
+        return fom.BOT if leaf == 2 else fom.TOP
+    op = rng.choice([fom.And, fom.Or, fom.Implies, fom.Forall, fom.Exists])
+    if op is fom.Forall or op is fom.Exists:
+        return op(fom.Var(rng.choice("xyz")), gen_sentence(rng, depth - 1))
+    return op(gen_sentence(rng, depth - 1), gen_sentence(rng, depth - 1))
+
+
+# tokens of both grammars, and some neither reads
+JUNK_TOKENS = ["(", ")", "[", "]", "..", "~", "&", "|", "->", "<->", "U", "R", "S", "T", "X",
+               "wY", "G", "!", "?", "x", "p", "Q", "3", "w", "<=", ">=", "<={2}", "<={w}",
+               "#true", "#init", "@", "\n"]
+
+
+def mutated_text(rng: random.Random, text: str) -> str:
+    """The tokens of `text` with one to three dropped, duplicated, swapped or
+    inserted, joined by spaces and some line breaks."""
+    words = [tok[1] for tok in _tokenize(text)[:-1]]
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(words) + 1)
+        move = rng.choice(["drop", "duplicate", "swap", "insert"])
+        if move == "insert" or not words:
+            words.insert(i, rng.choice(JUNK_TOKENS))
+        elif move == "drop":
+            del words[min(i, len(words) - 1)]
+        elif move == "duplicate":
+            words.insert(i, words[min(i, len(words) - 1)])
+        else:
+            j, i = rng.randrange(len(words)), min(i, len(words) - 1)
+            words[i], words[j] = words[j], words[i]
+    return "".join(w + rng.choice([" ", " ", " ", "\n"]) for w in words)
 
 
 def gen_trace(rng: random.Random, *, atoms=ATOMS, max_len: int = 4, max_gap: int = 4,

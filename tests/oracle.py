@@ -1,7 +1,9 @@
 """Brute-force reference implementations, independent of the library evaluator.
 
 Only the formula AST classes, metric and first-order, are shared, and the
-renaming of bound variables that closes fom.simplify_fom.
+renaming of bound variables that closes fom.simplify_fom.  The reference
+parsers are recursive descent, one method per precedence level, on the
+library's tokenizer, cursor and interval reader.
 Satisfaction here works on plain (here, there, times) tuples, or a domain
 and atom sets, with explicit world tags and index loops or variable
 bindings, and the bounded trace space is generated with its own nested
@@ -14,8 +16,10 @@ from functools import reduce
 from itertools import product
 
 from metricht import fom
+from metricht.parser import ATOM_RE, TokenCursor, _logical_lines, _Parser
 from metricht.syntax import (
-    And, Atom, Bottom, Implies, Next, Or, Prev, Release, Since, Trigger, Until,
+    And, Atom, BOT, Bottom, FINAL, INITIAL, Implies, Next, Or, Prev, Release, Since, Theory,
+    Trigger, TRUE, Until, always, eventually, historically, neg, once, weak_next, weak_prev,
 )
 
 
@@ -255,3 +259,144 @@ def theories_equivalent(left, right, atoms, max_len, max_time, strict=True):
         if theory_sat(here, there, times, left) != theory_sat(here, there, times, right):
             return False
     return True
+
+
+# ------------------------------------------------------------------ parsers
+
+_UNARY_OPS = {"X": Next, "wX": weak_next, "Y": Prev, "wY": weak_prev,
+              "G": always, "F": eventually, "H": historically, "O": once}
+_CONSTANTS = {"#true": TRUE, "#false": BOT, "#init": INITIAL, "#final": FINAL}
+_BINARY_OPS = {"U": Until, "R": Release, "S": Since, "T": Trigger}
+
+
+class FormulaParser(_Parser):
+    """The formula grammar by recursive descent: a Python frame per level."""
+
+    def formula(self):
+        lhs = self.implication()
+        while self.peek()[0] == "<->":
+            self.next()
+            rhs = self.implication()
+            lhs = And(Implies(lhs, rhs), Implies(rhs, lhs))
+        return lhs
+
+    def implication(self):
+        lhs = self.disjunction()
+        if self.peek()[0] == "->":
+            self.next()
+            return Implies(lhs, self.implication())
+        return lhs
+
+    def disjunction(self):
+        lhs = self.conjunction()
+        while self.peek()[0] == "|":
+            self.next()
+            lhs = Or(lhs, self.conjunction())
+        return lhs
+
+    def conjunction(self):
+        lhs = self.binary_temporal()
+        while self.peek()[0] == "&":
+            self.next()
+            lhs = And(lhs, self.binary_temporal())
+        return lhs
+
+    def binary_temporal(self):
+        lhs = self.unary()
+        op = _BINARY_OPS.get(self.peek()[1])
+        if op is None:
+            return lhs
+        self.next()
+        interval = self.optional_interval()
+        return op(interval, lhs, self.binary_temporal())
+
+    def unary(self):
+        tok = self.next()
+        kind, text, _ = tok
+        if kind == "~":
+            if self.interval_ahead():
+                self.fail("negation takes no interval")
+            return neg(self.unary())
+        if text in _UNARY_OPS:
+            interval = self.optional_interval()
+            return _UNARY_OPS[text](interval, self.unary())
+        if kind in _CONSTANTS:
+            return _CONSTANTS[kind]
+        if kind == "(":
+            phi = self.formula()
+            self.expect(")")
+            return phi
+        if kind == "name" and ATOM_RE.fullmatch(text):
+            return Atom(text)
+        self.fail("unexpected end of input" if kind == "<eof>"
+                  else f"unknown operator name {text!r}" if kind == "name"
+                  else f"unexpected {text!r}", tok)
+
+
+class SentenceParser(TokenCursor):
+    """The first-order sentence grammar by recursive descent."""
+
+    def formula(self):
+        lhs = self.disjunction()
+        if self.peek()[0] == "->":
+            self.next()
+            return fom.Implies(lhs, self.formula())
+        return lhs
+
+    def disjunction(self):
+        lhs = self.conjunction()
+        while self.peek()[0] == "|":
+            self.next()
+            lhs = fom.Or(lhs, self.conjunction())
+        return lhs
+
+    def conjunction(self):
+        lhs = self.unary()
+        while self.peek()[0] == "&":
+            self.next()
+            lhs = fom.And(lhs, self.unary())
+        return lhs
+
+    def term(self):
+        tok = self.next()
+        if tok[0] == "num":
+            return fom.Point(int(tok[1]))
+        if tok[0] == "name":
+            return fom.Var(tok[1])
+        self.fail(f"expected a term, found {tok[1] or 'end of input'!r}", tok)
+
+    def unary(self):
+        kind, text, _ = self.peek()
+        if kind in ("!", "?"):
+            self.next()
+            var = fom.Var(self.expect("name", "a variable")[1])
+            return (fom.Forall if kind == "!" else fom.Exists)(var, self.unary())
+        if kind == "(":
+            self.next()
+            phi = self.formula()
+            self.expect(")")
+            return phi
+        if kind in ("#true", "#false"):
+            self.next()
+            return fom.TOP if kind == "#true" else fom.BOT
+        if kind == "name" and self.peek(1)[0] == "(":
+            self.next()
+            self.next()
+            arg = self.term()
+            self.expect(")")
+            return fom.Pred(text, arg)
+        first = self.term()
+        raw = self.expect("diff", "a difference bound")[1][3:-1]
+        return fom.Diff(first, None if raw == "w" else int(raw), self.term())
+
+
+def parse_formula(text, line_offset=1):
+    return FormulaParser(text, line_offset).parse()
+
+
+def parse_theory(text):
+    return Theory(tuple(parse_formula(chunk, start) for start, chunk in _logical_lines(text)))
+
+
+def parse_fom(text):
+    return SentenceParser(text).parse()

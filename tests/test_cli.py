@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import metricht
+from conftest import time_limit
 from metricht.cli import main
 
 TRAFFIC = """% traffic light control
@@ -425,18 +426,41 @@ def test_malformed_theory_is_located(capsys, tmp_path, traffic, member, text, wh
 
 
 @pytest.mark.parametrize("text", [
-    "(" * 200 + "p" + ")" * 200,
     "~" * 3000 + "p",
     "G " * 3000 + "p",
-], ids=["parens-200", "neg-3000", "always-3000"])
-def test_deep_nesting_exits_2(capsys, tmp_path, member, text):
-    # the parser recurses on these; a long `&` chain it reads in a loop
-    theory = tmp_path / "deep.lp"
+], ids=["neg-3000", "always-3000"])
+def test_deep_nesting_exits_2(capsys, text):
+    # the parser reads any depth, but the translation recurses on these
+    assert main(["translate", "--formula", text]) == 2
+    assert capsys.readouterr().err == "error: --formula: formula nested too deeply\n"
+
+
+@pytest.mark.parametrize("text,out", [
+    ("(" * 100_000 + "p" + ")" * 100_000, "formula 1: SAT\nSAT\n"),
+    ("~" * 100_000 + "p", "formula 1: SAT\nSAT\n"),
+    ("G " * 100_000 + "p", "formula 1: UNSAT\nUNSAT(formula 1)\n"),
+], ids=["parens-100000", "neg-100000", "always-100000"])
+def test_check_answers_deep_nesting(capsys, tmp_path, text, out):
+    # the parser keeps explicit stacks, so depth costs it no Python frames
+    theory, trace = tmp_path / "deep.lp", tmp_path / "p.json"
     theory.write_text(text + "\n")
-    assert main(["check", str(theory), member]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err == f"error: {theory}: formula nested too deeply\n"
+    trace.write_text(json.dumps({"states": [{"time": 0, "there": ["p"]},
+                                            {"time": 2, "there": []}]}))
+    with time_limit(60, "check of a 100,000-deep formula"):
+        assert main(["check", str(theory), str(trace)]) == ("UNSAT" in out)
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("equilibrium,answer", [(False, "SAT\n"), (True, "NON-EQ witness []\n")],
+                         ids=["qht", "qht-equilibrium"])
+def test_qht_answers_a_deep_sentence(capsys, tmp_path, equilibrium, answer):
+    sentence, interp = tmp_path / "deep.fom", tmp_path / "i.json"
+    sentence.write_text("p(0) -> (" * 100_000 + "p(0)" + ")" * 100_000 + "\n")
+    interp.write_text(json.dumps({"domain": [0, 3], "there": ["p(0)"]}))
+    argv = ["qht", "--sentence", str(sentence), "--interp", str(interp)]
+    with time_limit(60, "qht of a 100,000-deep sentence"):
+        assert main(argv + ["--equilibrium"] * equilibrium) == equilibrium
+    assert capsys.readouterr().out == answer
 
 
 def test_check_of_a_long_conjunction(capsys, tmp_path):

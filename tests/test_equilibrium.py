@@ -1,5 +1,5 @@
+import json
 import random
-import signal
 import tracemalloc
 from dataclasses import replace
 from itertools import chain, islice
@@ -8,7 +8,8 @@ import pytest
 
 import metricht.equilibrium
 import metricht.semantics
-from conftest import gen_formula, make_trace
+from conftest import gen_formula, make_trace, time_limit
+from metricht.cli import main
 from metricht.equilibrium import (
     EquivVerdict, bounded_equiv, enumerate_equilibrium, enumerate_models, is_equilibrium,
 )
@@ -323,19 +324,30 @@ def test_refinement_scan_indexes_only_the_atoms_of_the_total():
     chunks = islice(ht_tables(Program(()).at(total.times), total.atoms(), total.there), 2)
     assert [(base, valid) for base, valid, _ in chunks] == [(0, (1 << 2 ** 14) - 1)]
 
-    def too_slow(signum, frame):
-        raise TimeoutError("the refinement scan took over 20 s")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(20)
-    try:
+    with time_limit(20, "the refinement scan"):
         for text in ("G (p | q | r | s)", "F[5..9] s", "G (p -> X q)"):
             theory = parse_theory(text)
             first = next((r for r in refinements(total) if is_model(r, theory)), None)
             assert is_equilibrium(total, theory).witness == first, text
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("text,model", [
+    (" <-> ".join(["p"] * 201), ["p"]),
+    ("p & " * 3000 + "p", ["p"]),
+], ids=["iff-chain-200", "and-chain-3000"])
+def test_table_runs_of_shared_nodes_and_long_chains(capsys, tmp_path, text, model):
+    # `a <-> b` is (a -> b) & (b -> a): a chain of 200 reaches its first `p`
+    # along 2**200 paths, so the table run evaluates a shared node once per
+    # chunk, state and world; it walks a long `&` chain in a loop, not a frame
+    # per conjunct.  The iff chain alternates between #true and p.
+    theory = tmp_path / "chain.lp"
+    theory.write_text(text + "\n")
+    with time_limit(20, "models --equilibrium and equiv on a chain"):
+        assert main(["models", str(theory), "--max-len", "1", "--equilibrium"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            json.dumps({"alphabet": ["p"], "states": [{"time": 0, "there": model}]}), "1 model"]
+        assert main(["equiv", str(theory), str(theory), "--max-len", "2"]) == 0
+        assert capsys.readouterr().out == "EQUIVALENT (within bounds)\n"
 
 
 def test_equiv_memory_stays_bounded():

@@ -1,10 +1,13 @@
-"""Mutated trace and interpretation JSON through the CLI: exit 0, 1 or 2, never a traceback.
+"""Mutated input files through the CLI: exit 0, 1 or 2, never a traceback.
 
-Each example deep-copies a valid document and applies one to three
+Each JSON example deep-copies a valid document and applies one to three
 mutations at random places: drop a key or list item, swap a value for one
 of another type, perturb a time, make here not included in there, or nest a
-value one level too deep.  An exit 2 must print exactly one line, naming
-the mutated file.
+value one level too deep.  Each theory or sentence example drops,
+duplicates, swaps or inserts one to three tokens of a valid text; where the
+reference parser refuses the result, the CLI must exit 2 with its located
+message.  An exit 2 must print exactly one line, naming the mutated file
+(or, for a sentence that parses, the interpretation it is evaluated in).
 """
 
 import contextlib
@@ -17,7 +20,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import oracle
+from conftest import mutated_text
 from metricht.cli import main
+from metricht.parser import ParseError
 
 TRACE = {
     "alphabet": ["green", "push", "red"],
@@ -84,12 +90,12 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _assert_contract(code, out, err, path):
+def _assert_contract(code, out, err, *paths):
     assert code in (0, 1, 2), (code, err)
     assert "Traceback" not in out + err
     if code == 2:
         assert err.count("\n") == 1 and err.endswith("\n"), err
-        assert err.startswith(f"error: {path}: "), err
+        assert err.startswith(tuple(f"error: {path}: " for path in paths)), err
 
 
 @pytest.fixture(scope="module")
@@ -97,13 +103,13 @@ def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("malformed")
     (root / "theory.lp").write_text(THEORY)
     (root / "s.fom").write_text(SENTENCE)
+    (root / "trace.json").write_text(json.dumps(TRACE))
+    (root / "i.json").write_text(json.dumps(INTERP))
     return root
 
 
 def test_valid_documents_pass(files):
-    (files / "trace.json").write_text(json.dumps(TRACE))
     assert _run(["check", str(files / "theory.lp"), str(files / "trace.json")])[0] == 0
-    (files / "i.json").write_text(json.dumps(INTERP))
     code, out, _ = _run(["qht", "--sentence", str(files / "s.fom"), "--interp",
                          str(files / "i.json")])
     assert (code, out) == (0, "SAT\n")
@@ -124,3 +130,39 @@ def test_mutated_interpretation_json(files, data, equilibrium):
     path.write_text(json.dumps(data))
     argv = ["qht", "--sentence", str(files / "s.fom"), "--interp", str(path)]
     _assert_contract(*_run(argv + ["--equilibrium"] * equilibrium), path)
+
+
+def _assert_refused_as_the_reference(result, text, reference, path, *others):
+    """Exit 2 with the reference parser's located message if it refuses `text`,
+    else the contract, naming `path` or one of `others`."""
+    try:
+        reference(text)
+    except ParseError as exc:
+        assert result == (2, "", f"error: {path}: {exc}\n")
+        assert re.fullmatch(r"line \d+, column \d+: .+", str(exc))
+    else:
+        _assert_contract(*result, path, *others)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(["check", "models", "equiv"]))
+def test_mutated_theory_text(files, rng, command):
+    text = mutated_text(rng, THEORY)
+    path = files / "mutated.lp"
+    path.write_text(text)
+    argv = {"check": ["check", str(path), str(files / "trace.json")],
+            "models": ["models", str(path), "--max-len", "1"],
+            "equiv": ["equiv", str(files / "theory.lp"), str(path), "--max-len", "1"]}[command]
+    _assert_refused_as_the_reference(_run(argv), text, oracle.parse_theory, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_mutated_sentence_text(files, rng, equilibrium):
+    text = mutated_text(rng, SENTENCE)
+    path = files / "mutated.fom"
+    path.write_text(text)
+    argv = ["qht", "--sentence", str(path), "--interp", str(files / "i.json")]
+    # a sentence that parses may name a time point outside the interpretation's domain
+    _assert_refused_as_the_reference(_run(argv + ["--equilibrium"] * equilibrium), text,
+                                     oracle.parse_fom, path, files / "i.json")

@@ -1,17 +1,18 @@
 import random
-import signal
 
 import pytest
 
 import oracle
-from conftest import gen_formula, gen_interval, gen_trace, make_trace, total_part
+from conftest import (
+    gen_formula, gen_interval, gen_trace, make_trace, time_limit, total_part,
+)
 from metricht.parser import parse_formula, parse_theory
 from metricht.semantics import (
     Program, em_theory, ht_tables, ht_trace, is_model, mht_sat, state_bits, strictness_axiom,
 )
 from metricht.syntax import (
     And, Atom, BOT, FULL, Implies, Interval, Next, Or, Prev, Release, Since, Theory,
-    Trigger, Until, always, eventually, historically, format_formula, initial, final,
+    Trigger, Until, always, eventually, historically, format_formula, iff, initial, final,
     neg, once, weak_next, weak_prev,
 )
 from metricht.traces import TimedHTTrace, total_trace
@@ -227,6 +228,38 @@ def test_tables_match_oracle_exhaustively():
     assert checked == 941_472
 
 
+def test_table_runs_of_chains_and_shared_nodes_match_oracle():
+    # left-nested chains mixing & and |, which the table run walks in a loop,
+    # and subformulas reached along many paths, which it memoises per chunk,
+    # state and world; every HT trace over {p, q} with L <= 3 and final time <= 2
+    rng = random.Random(31)
+    formulas = []
+    for _ in range(8):
+        phi = gen_formula(rng, 1)
+        for _ in range(rng.randint(2, 6)):
+            phi = rng.choice([And, Or])(phi, gen_formula(rng, 1))
+        formulas.append(phi)
+    shared = Until(Interval(0, 3), Atom("p"), neg(Atom("q")))
+    chain = shared
+    for _ in range(3):
+        chain = iff(chain, Or(shared, Prev(FULL, Atom("p"))))
+    formulas += [chain, parse_formula("p & q | ~p & X q | (q | p & p) & ~q | X (p | q) & q")]
+    atoms, checked = ("p", "q"), 0
+    for times in {times for _, _, times in oracle.bounded_space(atoms, 3, 2, strict=False)}:
+        program = Program(formulas).at(times)
+        for base, valid, cells in ht_tables(program, atoms):
+            traces = [(i, ht_trace(base + i, atoms, times))
+                      for i in range(valid.bit_length()) if valid >> i & 1]
+            for phi, root in zip(formulas, program.roots):
+                for k in range(len(times)):
+                    bits = program.chunk(root, k, *cells)
+                    for i, t in traces:
+                        expected = oracle.sat(t.here, t.there, times, k, phi)
+                        assert (bits >> i & 1) == expected, (format_formula(phi), t, k)
+                        checked += 1
+    assert checked == 136_170
+
+
 def test_window_masks_match_tau_differences():
     # per offset d, the states k whose state j = k + d (future) or k - d (past)
     # lies within the window, and those whose window is still open at j; on
@@ -298,14 +331,6 @@ def test_nested_unbounded_operators_take_linear_time():
                    for k in range(length))
     trace = TimedHTTrace(states, states, tuple(range(length)))
 
-    def too_slow(signum, frame):
-        raise TimeoutError("mht_sat took over 20 s on a 20,000-state trace")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(20)
-    try:
+    with time_limit(20, "mht_sat on a 20,000-state trace"):
         for text in ("G G F q", "G (p U q)", "H O q"):
             assert mht_sat(trace, 0, parse_formula(text)), text
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
