@@ -28,6 +28,12 @@ from .rewrite import (
     PASSES, bool_dual, one_step_eliminate, push_negation, range_split,
     time_swap, to_unary_nf, unfold_next,
 )
-from . import fom
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):  # PEP 562: `fom` loads on first use, which `check` never makes
+    if name != "fom":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import metricht.fom  # not `from . import fom`, which asks this hook first
+    return metricht.fom

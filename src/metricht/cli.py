@@ -12,7 +12,6 @@ import functools
 import json
 import sys
 
-from . import fom
 from .equilibrium import bounded_equiv, enumerate_equilibrium, enumerate_models
 from .parser import parse_formula, parse_theory
 from .rewrite import PASSES, range_split
@@ -136,6 +135,7 @@ def cmd_rewrite(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    from . import fom  # only translate and qht load it
     phi = _naming("--formula", parse_formula, args.formula)
     if args.at < 0:  # the sentence would not parse back
         raise ValueError(f"--at: the anchor time point must be a natural number, got {args.at}")
@@ -151,6 +151,7 @@ def cmd_translate(args) -> int:
 
 
 def cmd_qht(args) -> int:
+    from . import fom
     sentence = _load(args.sentence, fom.parse_fom)
     program = _naming(args.sentence, fom.compile_sentence, sentence)  # once for both steps
     interp = _load(args.interp, lambda text: fom.interpretation_from_json(json.loads(text)))
@@ -159,6 +160,7 @@ def cmd_qht(args) -> int:
 
 
 def _qht(interp: fom.QHTInterpretation, program: fom.Program, equilibrium: bool) -> int:
+    from . import fom
     if equilibrium:
         witness = fom.first_smaller_model(interp.domain, interp.there, program)
         if witness is None:

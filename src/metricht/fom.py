@@ -51,14 +51,29 @@ class FOMFormula:
         return format_fom(self)
 
 
-@dataclass(frozen=True)
-class Top(FOMFormula):
+@dataclass(frozen=True, slots=True)
+class _Constant(FOMFormula):
     pass
 
 
-@dataclass(frozen=True)
-class Bot(FOMFormula):
-    pass
+@dataclass(frozen=True, slots=True)
+class _Pair(FOMFormula):
+    lhs: FOMFormula
+    rhs: FOMFormula
+
+
+@dataclass(frozen=True, slots=True)
+class _Quantified(FOMFormula):
+    var: Var
+    body: FOMFormula
+
+
+class Top(_Constant):
+    __slots__ = ()
+
+
+class Bot(_Constant):
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -76,34 +91,24 @@ class Diff(FOMFormula):
     right: Term
 
 
-@dataclass(frozen=True)
-class And(FOMFormula):
-    lhs: FOMFormula
-    rhs: FOMFormula
+class And(_Pair):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Or(FOMFormula):
-    lhs: FOMFormula
-    rhs: FOMFormula
+class Or(_Pair):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(FOMFormula):
-    lhs: FOMFormula
-    rhs: FOMFormula
+class Implies(_Pair):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Forall(FOMFormula):
-    var: Var
-    body: FOMFormula
+class Forall(_Quantified):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Exists(FOMFormula):
-    var: Var
-    body: FOMFormula
+class Exists(_Quantified):
+    __slots__ = ()
 
 
 TOP = Top()

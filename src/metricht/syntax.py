@@ -84,62 +84,61 @@ class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True)
-class And(Formula):
+# One dataclass per field layout: its generated __eq__ and __repr__ serve each subclass.
+
+@dataclass(frozen=True, slots=True)
+class _Pair(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    lhs: Formula
-    rhs: Formula
-
-
-@dataclass(frozen=True)
-class Implies(Formula):
-    lhs: Formula
-    rhs: Formula
-
-
-@dataclass(frozen=True)
-class Next(Formula):
+@dataclass(frozen=True, slots=True)
+class _Step(Formula):
     interval: Interval
     arg: Formula
 
 
-@dataclass(frozen=True)
-class Prev(Formula):
-    interval: Interval
-    arg: Formula
-
-
-@dataclass(frozen=True)
-class Until(Formula):
+@dataclass(frozen=True, slots=True)
+class _Windowed(Formula):
     interval: Interval
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
-class Release(Formula):
-    interval: Interval
-    lhs: Formula
-    rhs: Formula
+class And(_Pair):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Since(Formula):
-    interval: Interval
-    lhs: Formula
-    rhs: Formula
+class Or(_Pair):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Trigger(Formula):
-    interval: Interval
-    lhs: Formula
-    rhs: Formula
+class Implies(_Pair):
+    __slots__ = ()
+
+
+class Next(_Step):
+    __slots__ = ()
+
+
+class Prev(_Step):
+    __slots__ = ()
+
+
+class Until(_Windowed):
+    __slots__ = ()
+
+
+class Release(_Windowed):
+    __slots__ = ()
+
+
+class Since(_Windowed):
+    __slots__ = ()
+
+
+class Trigger(_Windowed):
+    __slots__ = ()
 
 
 BOT = Bottom()

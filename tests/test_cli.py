@@ -488,3 +488,63 @@ def test_repeated_calls_answer_as_fresh_processes(capsys, monkeypatch, traffic, 
         fresh = subprocess.run([sys.executable, "-m", "metricht", *argv],
                                capture_output=True, text=True, env=env, check=False)
         assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+# Names the package exported when it imported fom eagerly; they stay its public API.
+PUBLIC_NAMES = """
+    And Atom BOT Bottom Formula FULL Implies Interval IntervalError Next Or Prev Release
+    Since Theory Trigger TRUE Until always eventually final format_formula historically iff
+    initial interval_from_bounds neg once weak_next weak_prev ParseError parse_formula
+    parse_theory EnumerationBounds TimedHTTrace enumerate_total_traces make_alphabet
+    refinements reverse_trace total_trace trace_from_json trace_to_json em_theory is_model
+    mht_sat strictness_axiom EquilibriumVerdict EquivVerdict bounded_equiv
+    enumerate_equilibrium enumerate_models is_equilibrium PASSES bool_dual
+    one_step_eliminate push_negation range_split time_swap to_unary_nf unfold_next fom
+    __version__
+""".split()
+
+LOADED_AFTER_EACH = r"""
+import io, json, sys
+sys.path.insert(0, sys.argv[1])
+from metricht.cli import main
+real, sys.stdout = sys.stdout, io.StringIO()
+loaded = []
+for argv in json.loads(sys.argv[2]):
+    main(argv)
+    loaded.append("metricht.fom" in sys.modules)
+print(json.dumps(loaded), file=real)
+"""
+
+PACKAGE_NAMES = r"""
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import metricht
+before = "metricht.fom" in sys.modules
+translated = str(metricht.fom.translate(metricht.Atom("p"), 0))
+print(json.dumps([before, translated, [n for n in json.loads(sys.argv[2])
+                                       if not hasattr(metricht, n)]]))
+"""
+
+
+def test_only_translate_and_qht_load_fom(tmp_path, traffic, member):
+    # each call is a fresh process: check, models, equiv and rewrite never
+    # pay for importing fom, and the package still serves metricht.fom
+    src = str(Path(metricht.__file__).resolve().parents[1])
+    sentence, interp = tmp_path / "s.fom", tmp_path / "i.json"
+    sentence.write_text("p(0)\n")
+    interp.write_text('{"domain": [0], "there": ["p(0)"]}')
+    steps = [["check", traffic, member],
+             ["models", traffic, "--max-len", "1", "--max-time", "0"],
+             ["equiv", traffic, traffic, "--max-len", "1", "--max-time", "0"],
+             ["rewrite", "--formula", "F p", "--pass", "unf"],
+             ["translate", "--formula", "F p"]]
+
+    def fresh(code, *args):
+        proc = subprocess.run([sys.executable, "-I", "-c", code, src, *args],
+                              capture_output=True, text=True, check=True)
+        return json.loads(proc.stdout)
+
+    assert fresh(LOADED_AFTER_EACH, json.dumps(steps)) == [False] * 4 + [True]
+    qht = ["qht", "--sentence", str(sentence), "--interp", str(interp)]
+    assert fresh(LOADED_AFTER_EACH, json.dumps([qht])) == [True]
+    assert fresh(PACKAGE_NAMES, json.dumps(PUBLIC_NAMES)) == [False, "p(0)", []]

@@ -16,13 +16,13 @@ from metricht.fom import (
     qht_sat, simplify_fom, translate,
 )
 from metricht.parser import ParseError, parse_formula, parse_theory
-from metricht.semantics import Program, mht_sat, strictness_axiom
-from metricht.equilibrium import is_equilibrium, enumerate_equilibrium
+from metricht.semantics import Program, first_bit, mht_sat, strictness_axiom
+from metricht.equilibrium import _first_smaller_model, is_equilibrium, enumerate_equilibrium
 from metricht.syntax import (
     And, Atom, BOT, FULL, Implies as KImplies, Interval, Next, Or, Prev, Release, Since,
     Trigger, Until, format_formula,
 )
-from metricht.traces import EnumerationBounds, TimedHTTrace, total_trace
+from metricht.traces import EnumerationBounds, TimedHTTrace, enumerate_total_traces, total_trace
 
 PUSH_RULE = parse_formula("G (push -> F[1..15) G[0..30] green)")
 PUSH_SENTENCE = ("!x (0 <={0} x & push(x) -> "
@@ -354,6 +354,40 @@ def test_equilibrium_transfer_on_traffic_suite():
     interp = induced_interpretation(lazy)
     rule_sentence = fom.conj([translate(phi, 0) for phi in rules.formulas])
     assert not is_qel_model(interp.domain, interp.there, rule_sentence)
+
+
+def test_equilibrium_correspondence_over_whole_spaces():
+    # the paper's main result over whole bounded spaces: for seeded random
+    # rules `body -> head` over {p, q} and every strict total trace with L <= 3
+    # and T <= 4, the trace is a model of the rules, and in equilibrium, exactly
+    # when its induced interpretation is one of the conjoined translation at 0;
+    # every first-order witness, read back as a here-trace, is a metric HT model.
+    # Kernel rules put negations and implications under implications, where
+    # the here-world's -> must be masked by the there-world's
+    rng = random.Random(29)
+    nonempty = lambda r: gen_interval(r, nonempty_only=True, max_lo=2, max_width=3)
+    part = lambda: gen_formula(rng, rng.randint(0, 2), interval=nonempty, sugar=False)
+    traces = list(enumerate_total_traces(EnumerationBounds(("p", "q"), 3, 4)))
+    checks = models = equilibria = 0
+    for _ in range(60):
+        theory = [KImplies(part(), part()) for _ in range(rng.randint(1, 3))]
+        sentence = fom.compile_sentence(fom.conj([translate(phi, 0) for phi in theory]))
+        program, timed = Program(theory), None
+        for trace in traces:
+            if timed is None or timed.tau != trace.times:
+                timed = program.at(trace.times)
+            there = trace.there
+            model = all(map(first_bit, timed.bits(there, there)))
+            equilibrium = model and _first_smaller_model(timed, there) is None
+            interp = induced_interpretation(trace)
+            witness = first_smaller_model(interp.domain, interp.there, sentence)
+            assert (model, equilibrium) == (witness != interp.there, witness is None), \
+                ([format_formula(phi) for phi in theory], trace)
+            if model and not equilibrium:
+                here = tuple(frozenset(p for p, t in witness if t == time) for time in trace.times)
+                assert all(map(first_bit, timed.bits(here, there))), (theory, trace, witness)
+            checks, models, equilibria = checks + 1, models + model, equilibria + equilibrium
+    assert (checks, models, equilibria) == (27_120, 16_538, 534)
 
 
 # ------------------------------------------------------------------ text formats
