@@ -12,7 +12,8 @@ import functools
 import json
 import sys
 
-from .equilibrium import bounded_equiv, enumerate_equilibrium, enumerate_models
+from .equilibrium import bounded_equiv, stream_models
+from .equilibrium import enumerate_equilibrium  # noqa: F401  (wrapped by bench/tracer.py)
 from .parser import parse_formula, parse_theory
 from .rewrite import PASSES, range_split
 from .semantics import Program, is_model, mht_sat  # noqa: F401  (wrapped by bench/tracer.py)
@@ -75,10 +76,10 @@ def cmd_check(args) -> int:
 def cmd_models(args) -> int:
     theory = _load(args.theory, parse_theory)
     bounds = _bounds(args, [theory])
-    models = (enumerate_equilibrium if args.equilibrium else enumerate_models)(theory, bounds)
-    for trace in models:
-        print(json.dumps(trace_to_json(trace, bounds.alphabet)))
-    print(f"{len(models)} model{'' if len(models) == 1 else 's'}")
+    count = 0
+    for count, trace in enumerate(stream_models(theory, bounds, args.equilibrium), start=1):
+        print(json.dumps(trace_to_json(trace, bounds.alphabet)))  # as soon as it is decided
+    print(f"{count} model{'' if count == 1 else 's'}")
     return 0
 
 

@@ -12,6 +12,7 @@ chunk of traces at once (`semantics.first_trace`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .semantics import Program, first_bit, first_trace
 from .semantics import is_model, mht_sat  # noqa: F401  (wrapped by bench/tracer.py)
@@ -56,26 +57,30 @@ def is_equilibrium(trace: TimedHTTrace, theory: Theory) -> EquilibriumVerdict:
     return EquilibriumVerdict(witness is None, witness)
 
 
-def _replayed(theory: Theory, bounds: EnumerationBounds, equilibrium: bool) -> list[TimedHTTrace]:
-    """The total models within bounds (those in equilibrium if asked), in enumeration order.
+def stream_models(theory: Theory, bounds: EnumerationBounds,
+                  equilibrium: bool) -> Iterator[TimedHTTrace]:
+    """The total models within bounds (those in equilibrium if asked), in
+    enumeration order, each yielded as soon as it is decided.
 
     The theory, compiled once, is bound to each region class's first time map
     to run every state sequence; later members replay the accepted ones."""
     found: dict[tuple, list] = {}
-    models, program = [], Program(theory.formulas)
+    program = Program(theory.formulas)
     for times, key in region_keys(bounds, theory.formulas):
-        if key not in found:
-            timed = program.at(times)
-            found[key] = [states for states in state_sequences(bounds.alphabet, len(times))
-                          if all(map(first_bit, timed.bits(states, states)))
-                          and not (equilibrium and _first_smaller_model(timed, states))]
-        models += (TimedHTTrace(states, states, times) for states in found[key])
-    return models
+        if key in found:
+            yield from (TimedHTTrace(states, states, times) for states in found[key])
+            continue
+        timed, found[key] = program.at(times), []
+        for states in state_sequences(bounds.alphabet, len(times)):
+            if all(map(first_bit, timed.bits(states, states))) and not (
+                    equilibrium and _first_smaller_model(timed, states)):
+                found[key].append(states)
+                yield TimedHTTrace(states, states, times)
 
 
 def enumerate_models(theory: Theory, bounds: EnumerationBounds) -> list[TimedHTTrace]:
     """All total models within bounds, in enumeration order."""
-    return _replayed(theory, bounds, False)
+    return list(stream_models(theory, bounds, False))
 
 
 def enumerate_equilibrium(theory: Theory, bounds: EnumerationBounds) -> list[TimedHTTrace]:
@@ -84,7 +89,7 @@ def enumerate_equilibrium(theory: Theory, bounds: EnumerationBounds) -> list[Tim
     Strict bounds enumerate only strict traces, whose refinements are strict
     too, so the strictness axiom holds throughout and is not added.
     """
-    return _replayed(theory, bounds, True)
+    return list(stream_models(theory, bounds, True))
 
 
 def bounded_equiv(left: Theory, right: Theory, bounds: EnumerationBounds) -> EquivVerdict:

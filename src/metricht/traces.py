@@ -183,42 +183,47 @@ def trace_to_json(trace: TimedHTTrace, alphabet: Iterable[str] | None = None) ->
     return {"alphabet": list(alpha), "states": states}
 
 
-def _atom_set(value) -> frozenset[str] | None:
-    """The atoms of a JSON list of strings; None for any other value."""
+def _atom_set(value, seen: dict) -> frozenset[str] | None:
+    """The atoms of a JSON list of strings, one frozenset per distinct list in
+    `seen`; None for any other value."""
     if type(value) is not list:
         return None
-    for atom in value:
-        if type(atom) is not str:
-            return None
-    return frozenset(value)
+    key = tuple(value)
+    try:
+        return seen[key]
+    except KeyError:
+        atoms = seen[key] = frozenset(value) if all(type(a) is str for a in value) else None
+        return atoms
+    except TypeError:  # an item was a list or an object
+        return None
 
 
 def trace_from_json(data: dict) -> tuple[TimedHTTrace, tuple[str, ...]]:
     if not isinstance(data, dict) or not isinstance(data.get("states"), list):
         raise ValueError("trace JSON must be an object with a 'states' list")
-    alphabet = _atom_set(data.get("alphabet", []))
+    alphabet = _atom_set(data.get("alphabet", []), {})
     if alphabet is None:
         raise ValueError("'alphabet' must be a list of atom names")
     alphabet = make_alphabet(alphabet)
-    heres, theres, times = [], [], []
+    heres, theres, times, seen = [], [], [], {}
     for index, entry in enumerate(data["states"]):
         if not isinstance(entry, dict) or "time" not in entry or "there" not in entry:
             raise ValueError(f"state {index} must be an object with 'time' and 'there'")
         time = entry["time"]
         if type(time) is not int or time < 0:
             raise ValueError(f"state {index}: times must be non-negative integers")
-        there = _atom_set(entry["there"])
-        here = _atom_set(entry["here"]) if "here" in entry else there
+        there = _atom_set(entry["there"], seen)
+        here = _atom_set(entry["here"], seen) if "here" in entry else there
         if there is None or here is None:
             raise ValueError(f"state {index}: 'here' and 'there' must be lists of atom names")
         heres.append(here)
         theres.append(there)
         times.append(time)
-    trace = TimedHTTrace(tuple(heres), tuple(theres), tuple(times))
-    if alphabet:
-        stray = set(trace.atoms()) - set(alphabet)
-        if stray:
-            raise ValueError(f"atoms {sorted(stray)} not in the declared alphabet")
-    else:
-        alphabet = trace.atoms()
-    return trace, alphabet
+    heres, theres = tuple(heres), tuple(theres)
+    # a total trace gets its there tuple as `here` too, so no subset pass runs
+    trace = TimedHTTrace(theres if heres == theres else heres, theres, tuple(times))
+    atoms = make_alphabet(frozenset().union(*seen.values()))  # here-sets lie in there-sets
+    stray = set(atoms) - set(alphabet or atoms)
+    if stray:
+        raise ValueError(f"atoms {sorted(stray)} not in the declared alphabet")
+    return trace, alphabet or atoms

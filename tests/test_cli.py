@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,6 +12,10 @@ import pytest
 import metricht
 from conftest import time_limit
 from metricht.cli import main
+from metricht.equilibrium import enumerate_equilibrium, enumerate_models
+from metricht.parser import parse_theory
+from metricht.semantics import Program
+from metricht.traces import EnumerationBounds, trace_to_json
 
 TRAFFIC = """% traffic light control
 G (red & green -> #false)
@@ -106,6 +111,84 @@ def test_models_unsatisfiable(run, tmp_path):
 def test_models_reproducible(run, traffic):
     args = ("models", traffic, "--max-len", "2", "--max-time", "4")
     assert run(*args) == run(*args)
+
+
+class CountsAtEachWrite(io.StringIO):
+    """A stdout that notes, at each write, how many time maps were bound and
+    how many state sequences were run so far."""
+
+    def __init__(self, calls: dict):
+        super().__init__()
+        self.calls, self.seen = calls, []
+
+    def write(self, text: str) -> int:
+        self.seen.append((self.calls["at"], self.calls["bits"]))
+        return super().write(text)
+
+
+def listed(theory: str, max_len: int, max_time: int, exact: bool, equilibrium: bool,
+           non_strict: bool = False) -> str:
+    """The models of the list-returning API, printed as `models` prints them."""
+    parsed = parse_theory(theory)
+    bounds = EnumerationBounds(parsed.atoms(), max_len, max_time, strict_only=not non_strict,
+                               exact_len=exact)
+    found = (enumerate_equilibrium if equilibrium else enumerate_models)(parsed, bounds)
+    lines = [json.dumps(trace_to_json(trace, bounds.alphabet)) for trace in found]
+    return "".join(f"{line}\n" for line in lines) + \
+        f"{len(found)} model{'' if len(found) == 1 else 's'}\n"
+
+
+@pytest.mark.parametrize("flags,max_len,max_time,count", [
+    (["--exact-len", "--equilibrium"], 3, 12, 7),
+    (["--exact-len"], 3, 12, 56),
+    (["--exact-len", "--equilibrium", "--non-strict"], 3, 12, 7),
+    ([], 2, 6, 0),
+], ids=["equilibrium", "plain", "non-strict", "no-models"])
+def test_models_streams_what_the_list_api_returns(monkeypatch, traffic, flags, max_len,
+                                                  max_time, count):
+    calls, bound_after, at, bits = {"at": 0, "bits": 0}, [], Program.at, Program.bits
+
+    def counting_at(program, tau):
+        calls["at"] += 1
+        bound_after.append(calls["bits"])
+        return at(program, tau)
+
+    def counting_bits(program, here, there):
+        calls["bits"] += 1
+        return bits(program, here, there)
+
+    monkeypatch.setattr(Program, "at", counting_at)
+    monkeypatch.setattr(Program, "bits", counting_bits)
+    out = CountsAtEachWrite(calls)
+    monkeypatch.setattr(sys, "stdout", out)
+    argv = ["models", traffic, "--max-len", str(max_len), "--max-time", str(max_time), *flags]
+    assert main(argv) == 0
+    monkeypatch.undo()
+    text = out.getvalue()
+    assert text.splitlines()[-1] == f"{count} models"
+    assert text == listed(TRAFFIC, max_len, max_time, "--exact-len" in flags,
+                          "--equilibrium" in flags, "--non-strict" in flags)
+    if count:
+        # the first model is out before the last region class is bound, and
+        # before its own class has run all of its state sequences
+        searched, run = out.seen[0]
+        assert searched < calls["at"]
+        assert run < bound_after[searched]
+
+
+def test_models_failing_after_output_keeps_the_models_printed(capsys, tmp_path):
+    # Program.chunk recurses on formula depth; the left disjunct holds only
+    # where the next state is 1 away, so the first class never reaches the
+    # deep right one and its model is printed before the second class fails
+    theory = tmp_path / "deep.lp"
+    theory.write_text("X[1..2) (p -> p) | " + "~" * 3000 + "p\n")
+    argv = ["models", str(theory), "--max-len", "2", "--max-time", "2", "--exact-len",
+            "--equilibrium"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == json.dumps({"alphabet": ["p"], "states": [
+        {"time": 0, "there": []}, {"time": 1, "there": []}]}) + "\n"
+    assert out.err == f"error: {theory}: formula nested too deeply\n"
 
 
 def test_equiv_negations(run, tmp_path):

@@ -123,6 +123,22 @@ def test_mutated_trace_json(files, data):
     _assert_contract(*_run(["check", str(files / "theory.lp"), str(path)]), path)
 
 
+@pytest.mark.parametrize("data,message", [
+    ({"states": [{"time": 0, "there": [["p"]]}]},
+     "state 0: 'here' and 'there' must be lists of atom names"),
+    ({"states": [{"time": 0, "there": ["p"]}, {"time": 1, "here": [{"a": 1}], "there": ["p"]}]},
+     "state 1: 'here' and 'there' must be lists of atom names"),
+    ({"alphabet": [["p"]], "states": [{"time": 0, "there": ["p"]}]},
+     "'alphabet' must be a list of atom names"),
+], ids=["there-list", "here-object", "alphabet-list"])
+def test_unhashable_atom_in_trace_json(files, tmp_path, data, message):
+    # atom lists are looked up by value, which fails on a list or an object inside
+    path = tmp_path / "unhashable.json"
+    path.write_text(json.dumps(data))
+    code, out, err = _run(["check", str(files / "theory.lp"), str(path)])
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
 @settings(max_examples=300, deadline=None)
 @given(mutated(INTERP, "green(12)"), st.booleans())
 def test_mutated_interpretation_json(files, data, equilibrium):
