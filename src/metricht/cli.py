@@ -65,8 +65,9 @@ def cmd_check(args) -> int:
     if not 0 <= args.at < trace.length:
         raise ValueError(f"--at {args.at}: {args.trace} has states 0 to {trace.length - 1}")
     program, failing = Program(theory.formulas).at(trace.times), None
+    at = program.position(args.at)
     for i, bits in enumerate(program.bits(trace.here, trace.there), start=1):
-        ok = bits >> args.at & 1
+        ok = bits >> at & 1
         print(f"formula {i}: {'SAT' if ok else 'UNSAT'}")  # as soon as it is decided
         failing = failing or (None if ok else i)
     print("SAT" if failing is None else f"UNSAT(formula {failing})")

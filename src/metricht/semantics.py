@@ -3,10 +3,10 @@
 Implication is evaluated in both the here-world and the there-world (on a total
 trace they coincide: plain metric LTL).  `Program` compiles a theory into a
 post-order list of its distinct subformulas; `at` binds it to a time map.  Run
-on one trace, each node gets an int whose bit k is its truth at state k: one
-pass, linear per unbounded operator and O(L*W) per windowed one (W the states a
-window spans).  Run on a chunk of `ht_tables` traces, a node at state k gets an
-int whose bit i is its truth on trace i (Knuth, TAOCP 4A 7.1).
+on one trace, each node gets an int with a bit per time position (`Program.at`):
+O(log W) int operations per operator, W its window's width in positions.  Run
+on a chunk of `ht_tables` traces, a node at state k gets an int whose bit i is
+its truth on trace i (Knuth, TAOCP 4A 7.1).
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from functools import cache
+from itertools import accumulate, repeat
+from operator import getitem, lshift, rshift, sub
 from typing import Iterator
 
 from .syntax import (
@@ -23,6 +25,7 @@ from .syntax import (
 from .traces import TimedHTTrace
 
 WIDTH = 16  # a table spans at most 2**WIDTH traces (8 KB); higher index bits are enumerated
+DENSITY = 16  # time positions per state at most; sparser time keeps state indices
 first_bit = (1).__and__  # a formula's bits -> 1 when it holds at state 0; no Python frame per call
 
 
@@ -35,9 +38,10 @@ class Program:
     reads: for & and |, whether the lhs is a & or | too (as detail), and
     whether the node is no leaf and used more than once, by other nodes or
     as a root (node 0, a leaf, fills in for a missing operand).  A program
-    bound by `at(tau)` runs traces, building its masks on first use.  Both
-    runs follow one world rule: the there-world is evaluated first, and a
-    here-world implication also needs the there-world's value of its node."""
+    bound by `at(tau)` runs traces (`bits`), placing the states on a line of
+    time positions on first use.  Both runs follow one world rule: the
+    there-world is evaluated first, and a here-world implication also needs
+    the there-world's value of its node."""
 
     def __init__(self, formulas):
         number, seen = {}, {}  # node -> its number in post-order; id(subformula) -> number
@@ -56,27 +60,89 @@ class Program:
         self.chunk_nodes = []  # shared by the bindings, filled by the first `ht_tables`
 
     def at(self, tau: tuple[int, ...]) -> Program:
-        """This program bound to one time map: the same nodes and roots, its own masks."""
+        """This program bound to one time map: the same nodes and roots, its own masks.
+
+        On its first run, state k gets the position p_k = t_k*c + r_k: t the
+        time map with every gap capped at max(M, 1), M the largest finite
+        window endpoint (no window test changes its answer), m the most states
+        sharing a stamp, c = 2m - 1 and r_k the rank of k among the states of
+        its stamp.  A window [lo..hi) is then the same range of positions
+        [L, H) from every state, L = 0 if lo = 0 else lo*c - (m - 1) and
+        H = hi*c - (m - 1).  Positions are taken while they span at most
+        DENSITY bits per state; sparser time keeps p_k = k and per-offset
+        window masks.  A program whose windows are all [0..) reads only the
+        order of the states, so it takes p_k = k on its window line."""
         timed = object.__new__(Program)  # not compiled again
         timed.nodes, timed.roots, timed.chunk_nodes = self.nodes, self.roots, self.chunk_nodes
-        timed.tau, timed.full, timed._masks = tau, (1 << len(tau)) - 1, {}
+        timed.tau, timed.full, timed.pos, timed._masks = tau, (1 << len(tau)) - 1, None, {}
+        timed._atoms = None  # see `_run`: a search runs many traces through one binding
         return timed
 
+    def position(self, k: int) -> int:
+        """The bit of state k in the ints that `bits` yields."""
+        if self.pos is None:
+            self._place()
+        return self.pos[k]
+
+    def _place(self) -> None:
+        tau, n = self.tau, len(self.tau)
+        cap = max([x for _, detail, _, _ in self.nodes if type(detail) is tuple
+                   for x in detail if x is not None] + [0])
+        steps, pos, m = [], range(n), 1  # windows [0..) only: the states in order will do
+        if cap:
+            steps, pos = list(map(sub, tau[1:], tau)), tau  # a time map starts at 0
+            if n > 1 and max(steps) > cap:
+                steps = list(map(min, steps, repeat(cap)))
+                pos = list(accumulate(steps, initial=0))
+        if 0 in steps:  # non-strict: a stamp's states take consecutive positions
+            ranks = [0]
+            for step in steps:
+                ranks.append(0 if step else ranks[-1] + 1)
+            m = max(ranks) + 1
+            pos = [t * (2 * m - 1) + rank for t, rank in zip(pos, ranks)]
+            steps = list(map(sub, pos[1:], pos))
+        self.scale = (2 * m - 1, m - 1) if pos[-1] < DENSITY * n else None
+        pos = pos if self.scale else range(n)
+        self.pos, self.span, self.full = pos, pos[-1] + 1, (1 << n) - 1
+        if self.span > n:  # a state's bit and the gap after it, the last state first
+            pad = {w: ("0" * w, "1" + "0" * (w - 1)) for w in set(steps)}
+            pads = self._pads = [pad[w] for w in reversed(steps)]
+            pads.append(("0", "1"))  # state 0
+            self.full = int("".join([ones for _, ones in pads]), 2)
+        self.gap = self.full ^ (1 << self.span) - 1  # the positions without a state
+
+    def _spread(self, key: str) -> int:
+        """A string of state bits, the last state first, as bits at their positions."""
+        if self.span == len(key):
+            return int(key, 2)
+        return int("".join(map(getitem, self._pads, map("1".__eq__, key))), 2)
+
     def bits(self, here: tuple, there: tuple) -> Iterator[int]:
-        """Each formula's bits in turn, bit k its truth at state k in the here-world,
-        evaluating the nodes it needs then: its there-world run comes first."""
+        """Each formula's bits in turn, bit `position(k)` its truth at state k in the
+        here-world, evaluating the nodes it needs then: its there-world run comes
+        first.  Bits at positions without a state are 0, and position 0 is state 0."""
         upper, out = None if here == there else [], []
+        atoms, self._atoms = self._atoms, {} if self._atoms is None else self._atoms
         for root in self.roots:
             if upper is not None:
-                self._run(there, upper, root + 1)
-            yield self._run(here, out, root + 1, upper)[root]
+                self._run(there, upper, root + 1, None, atoms)
+            yield self._run(here, out, root + 1, upper, atoms)[root]
 
-    def _run(self, states: tuple, out: list[int], stop=None, upper=None) -> list[int]:
-        """One world's bits per node up to `stop`; `upper` holds the there-world's."""
-        full, states = self.full, states[::-1]  # the states from the highest bit down
+    def _run(self, states: tuple, out: list[int], stop=None, upper=None, atoms=None) -> list[int]:
+        """One world's bits per node up to `stop`; `upper` holds the there-world's.
+        `atoms` keeps an atom's bits by its state bits, from a binding's second trace on."""
+        if self.pos is None:
+            self._place()
+        full, gap, states = self.full, self.gap, states[::-1]
         for kind, detail, a, b in self.nodes[len(out):stop]:
-            if kind is Atom:
-                value = int("".join(["1" if detail in s else "0" for s in states]), 2)
+            if kind is Atom and gap and atoms is None:  # one pass over states and gaps
+                value = int("".join([pad[detail in s]
+                                     for s, pad in zip(states, self._pads)]), 2)
+            elif kind is Atom:
+                key = "".join(["1" if detail in s else "0" for s in states])
+                value = atoms.get(key) if gap else int(key, 2)
+                if value is None:
+                    value = atoms[key] = self._spread(key)
             elif kind is And:
                 value = out[a] & out[b]
             elif kind is Or:
@@ -87,9 +153,13 @@ class Program:
                     value &= upper[len(out)]
             elif kind is Bottom:
                 value = 0
-            elif kind is Next or kind is Prev:
-                gaps = self._gaps(detail)
-                value = out[a] >> 1 & gaps if kind is Next else (out[a] & gaps) << 1
+            elif kind is Next:  # the next state's bit, carried down over the positions between
+                value = self._reach(gap, out[a]) >> 1 & self._gaps(detail)
+            elif kind is Prev:  # an addition carries each bit up over the positions after it
+                value = out[a] & self._gaps(detail)
+                value = (gap | value) + value & full
+            elif self.scale:
+                value = self._line(kind, detail, out[a], out[b])
             else:
                 value = self._binary(kind, detail, out[a], out[b])
             out.append(value)
@@ -157,10 +227,71 @@ class Program:
                 break
         return out ^ flip
 
+    def _line(self, kind, window: tuple[int, int | None], lhs: int, rhs: int) -> int:
+        """U/S on the position line, as a bounded until: bit u is set when rhs holds at
+        some v with v - u (U) or u - v (S) in [start, start + width), and lhs from
+        u up to but not at v; a position without a state has lhs and not rhs.  R/T
+        are U/S on complemented operands.
+
+        By doubling: a and b are A_s (rhs within s of u, lhs before it) and B_s
+        (lhs on all s) for s = 1, 2, 4..., A_{x+y}(u) = A_x(u) | B_x(u) & A_y(u + x)
+        and B likewise; the until is B_start & A_width read start positions on.
+        With no end, A is the fixpoint `_reach` for U and one addition for S."""
+        (lo, hi), (c, slack), full, span = window, self.scale, self.full, self.span
+        start = lo and lo * c - slack
+        width = span if hi is None else min(hi * c - slack - start, span)
+        future = kind is Until or kind is Release
+        flip = full if kind is Release or kind is Trigger else 0
+        if start >= span or width <= 0:
+            return flip
+        lhs, rhs = lhs ^ flip | self.gap, rhs ^ flip
+        shift, s, done, lead, reach = rshift if future else lshift, 1, 0, -1, 0
+        if lhs == full | self.gap:  # lhs everywhere: rhs anywhere in the window
+            if hi is None:  # below the last rhs (U), above the first (S)
+                reach = (1 << rhs.bit_length()) - 1 if future else -(rhs & -rhs)
+            while hi is not None and s <= width:
+                if width & s:
+                    reach |= shift(rhs, done)
+                    done += s
+                rhs |= shift(rhs, s)
+                s <<= 1
+            return shift(reach, start) & full ^ flip
+        if hi is None:
+            both = lhs | rhs
+            reach, width = self._reach(lhs, rhs) if future else (both + rhs ^ both ^ rhs) >> 1, 0
+        a, b, before = rhs, lhs, -1  # B of the width so far
+        while s <= start or s <= width:
+            if start & s:
+                lead &= shift(b, start & s - 1)
+            if width & s:
+                reach |= before & shift(a, done)
+                before &= shift(b, done)
+                done += s
+            if s << 1 <= width:
+                a |= b & shift(a, s)
+            b &= shift(b, s)
+            s <<= 1
+        return lead & shift(reach, start) & full ^ flip
+
+    @staticmethod
+    def _reach(lhs: int, rhs: int) -> int:
+        """The until of a window [0..) toward the higher bits: doubling to a fixpoint."""
+        s = 1
+        while lhs:
+            grown = rhs | lhs & rhs >> s
+            if grown == rhs:
+                break
+            rhs, lhs, s = grown, lhs & lhs >> s, s << 1
+        return rhs
+
     def _gaps(self, window: tuple[int, int | None]) -> int:
-        """Bit k: state k + 1 lies within the window of state k (the scan's offset 1)."""
-        masks = self._window(window, True)
-        return masks[1][0] if len(masks) > 1 else self.full >> 1 if window[1] is None else 0
+        """Bit `position(k)`: state k + 1 lies within the window of state k."""
+        if window not in self._masks:
+            (lo, hi), tau = window, self.tau
+            key = "".join(["1" if lo <= d and (hi is None or d < hi) else "0"
+                           for d in map(sub, tau[:0:-1], tau[-2::-1])])
+            self._masks[window] = self._spread("0" + key)
+        return self._masks[window]
 
     def _binary(self, kind, window: tuple[int, int | None], lhs: int, rhs: int) -> int:
         """U/S: some j in the window has rhs, and lhs from k up to but not at j.
@@ -215,15 +346,23 @@ class Program:
 
 
 def state_bits(trace: TimedHTTrace, formulas) -> list[int]:
-    """Each formula's truth at every state of the trace, bit k for state k, in one pass."""
-    return list(Program(formulas).at(trace.times).bits(trace.here, trace.there))
+    """Each formula's truth at every state of the trace, bit k for state k, in one pass:
+    `Program.bits` read back from time positions to state indices."""
+    program = Program(formulas).at(trace.times)
+    out = list(program.bits(trace.here, trace.there))
+    top = program.position(trace.length - 1)
+    if top == trace.length - 1:  # a position per state
+        return out
+    order = [top - p for p in reversed(program.pos)]  # characters from the last state down
+    return [int("".join(map(f"{bits:0{top + 1}b}".__getitem__, order)), 2) for bits in out]
 
 
 def mht_sat(trace: TimedHTTrace, k: int, phi: Formula) -> bool:
     """Does the trace satisfy phi at state k?"""
     if not 0 <= k < trace.length:
         raise IndexError(f"state index {k} out of range for length {trace.length}")
-    return state_bits(trace, (phi,))[0] >> k & 1 == 1
+    program = Program((phi,)).at(trace.times)
+    return next(program.bits(trace.here, trace.there)) >> program.position(k) & 1 == 1
 
 
 @cache

@@ -420,6 +420,35 @@ def test_check_at_out_of_range(capsys, tmp_path, traffic, member):
     assert capsys.readouterr().err == f"error: --at 3: {single} has states 0 to 0\n"
 
 
+def test_check_at_every_state_of_a_non_strict_trace(run, tmp_path):
+    # `--at k` is read at state k's time position: three states share stamp 4,
+    # two share 11, and the gap of 40 is capped at 9; every formula at every state
+    # against the oracle, exit code and summary line included
+    import oracle
+    from metricht.traces import trace_from_json
+    rules = ("p U[1..6) q\nq S[0..1) p\nX[0..1) (p -> q)\nY[7..9) p\n"
+             "G[0..8) (p | q)\nH[2..) (q -> p)\nwX[3..9) ~p\n")
+    data = {"states": [
+        {"time": 0, "there": ["p"]}, {"time": 4, "there": ["p", "q"], "here": ["q"]},
+        {"time": 4, "there": ["q"]}, {"time": 4, "there": ["p"]},
+        {"time": 11, "there": ["p", "q"]}, {"time": 11, "there": []},
+        {"time": 51, "there": ["q"]}, {"time": 52, "there": ["p"], "here": []}]}
+    (tmp_path / "rules.lp").write_text(rules)
+    (tmp_path / "trace.json").write_text(json.dumps(data))
+    trace, _ = trace_from_json(data)
+    formulas = parse_theory(rules).formulas
+    assert Program(formulas).at(trace.times).position(7) == 105  # positions, not indices
+    for k in range(trace.length):
+        verdicts = [oracle.sat(trace.here, trace.there, trace.times, k, phi) for phi in formulas]
+        code, out = run("check", str(tmp_path / "rules.lp"), str(tmp_path / "trace.json"),
+                        "--at", str(k))
+        failing = next((i for i, ok in enumerate(verdicts, start=1) if not ok), None)
+        assert out.splitlines() == [
+            f"formula {i}: {'SAT' if ok else 'UNSAT'}" for i, ok in enumerate(verdicts, start=1)
+        ] + ["SAT" if failing is None else f"UNSAT(formula {failing})"], k
+        assert code == (0 if failing is None else 1)
+
+
 GOOD_STATE = {"time": 0, "there": ["red"]}
 
 

@@ -283,7 +283,8 @@ def test_model_correspondence():
     # here-and-there trace over {p, q} with at most 2 states and final time
     # <= 3 (252 traces), every state, every depth-1 formula.  translate(phi, x)
     # with x free gets a table whose bit k is its truth at the k-th time point,
-    # which must equal phi's state bits, in the here-world and the there-world
+    # which must equal phi's state bits (bit `position(k)` of `Program.bits`
+    # read as bit k), in the here-world and the there-world
     import oracle
     formulas = _depth_one_formulas()
     assert len(formulas) == 198
@@ -295,7 +296,9 @@ def test_model_correspondence():
         bound, timed = sentences.at(times), metric.at(times)
         upper = bound.run(interp.there)
         lower = bound.run(interp.here, upper)
-        pairs = zip(formulas, sentences.roots, timed.bits(here, there), timed.bits(there, there))
+        by_state = lambda bits: sum((bits >> timed.position(k) & 1) << k for k in range(len(times)))
+        pairs = zip(formulas, sentences.roots, map(by_state, timed.bits(here, there)),
+                    map(by_state, timed.bits(there, there)))
         for phi, root, here_bits, there_bits in pairs:
             # a translation that never mentions x has a 1-bit table: the same at every point
             spread = 1 if sentences.nodes[root][4] else (1 << len(times)) - 1

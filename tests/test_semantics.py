@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -133,8 +134,11 @@ def test_subindex_free_formulas_ignore_the_time_map():
         for _ in range(t.length - 1):
             other_times.append(other_times[-1] + rng.randint(0, 5))
         other = TimedHTTrace(t.here, t.there, tuple(other_times))
+        # such a program reads only the order of the states: bit k is state k
+        assert Program((phi,)).at(other.times).position(t.length - 1) == t.length - 1
         for k in range(t.length):
-            assert mht_sat(t, k, phi) == mht_sat(other, k, phi)
+            assert mht_sat(t, k, phi) == mht_sat(other, k, phi) == \
+                oracle.sat(t.here, t.there, other.times, k, phi)
 
 
 def test_matches_independent_oracle():
@@ -204,8 +208,8 @@ def _every_connective_to_depth_two():
 def test_tables_match_oracle_exhaustively():
     # every time map over {p, q} with L <= 3 and final time <= 4, strict ones
     # included: bit i of the chunk run of phi's node at k is the oracle's
-    # verdict on trace i at k, and so is bit k of phi's bits in the
-    # there-then-here `bits` run on trace i
+    # verdict on trace i at k, and so is the bit of state k (`position(k)`)
+    # of phi's bits in the there-then-here `bits` run on trace i
     formulas = _every_connective_to_depth_two()
     atoms = ("p", "q")
     checked = 0
@@ -223,7 +227,8 @@ def test_tables_match_oracle_exhaustively():
                     for (i, t), values in zip(traces, compiled):
                         expected = oracle.sat(t.here, t.there, times, k, phi)
                         assert (bits >> i & 1) == expected, (format_formula(phi), t, k)
-                        assert (values[f] >> k & 1) == expected, (format_formula(phi), t, k)
+                        assert (values[f] >> program.position(k) & 1) == expected, \
+                            (format_formula(phi), t, k)
                         checked += 1
     assert checked == 941_472
 
@@ -334,3 +339,99 @@ def test_nested_unbounded_operators_take_linear_time():
     with time_limit(20, "mht_sat on a 20,000-state trace"):
         for text in ("G G F q", "G (p U q)", "H O q"):
             assert mht_sat(trace, 0, parse_formula(text)), text
+
+
+def test_position_run_matches_oracle_in_both_worlds():
+    # non-strict traces with up to 3 states per stamp and gaps above the cap
+    # (M = 6 here, so gaps of 7-13 are capped): every window shape of the
+    # position line, the empty [3..2) included, under U/R/S/T/X/Y, at every
+    # state, in the here-world and the there-world
+    rng = random.Random(45)
+    p, q = Atom("p"), Atom("q")
+    windows = [Interval(0, 6), Interval(0, 3), Interval(2, 6), Interval(2, 4), Interval(3, 2),
+               Interval(0, 1), Interval(1, 6), Interval(2, None), FULL]
+    formulas = [op(w, p, q) for w in windows for op in (Until, Release, Since, Trigger)]
+    formulas += [op(w, Implies(p, q), neg(q)) for w in windows[5:]
+                 for op in (Until, Release, Since, Trigger)]
+    formulas += [op(w, arg) for w in windows for op in (Next, Prev) for arg in (p, Implies(q, p))]
+    formulas += [always(Interval(0, 5), eventually(Interval(1, 6), q)),
+                 once(Interval(2, 6), historically(Interval(0, 3), Implies(p, q)))]
+    placed = checked = 0
+    for _ in range(200):
+        times = []
+        for _ in range(rng.randint(1, 8)):
+            stamp = times[-1] + rng.choice((1, 2, 3, 5, 7, 9, 13)) if times else 0
+            times += [stamp] * rng.randint(1, 3)
+        there = tuple(frozenset(a for a in "pq" if rng.random() < 0.6) for _ in times)
+        here = tuple(frozenset(a for a in state if rng.random() < 0.7) for state in there)
+        program = Program(formulas).at(tuple(times))
+        placed += program.position(len(times) - 1) > len(times) - 1
+        for world, trace in (("h", TimedHTTrace(here, there, tuple(times))),
+                             ("t", TimedHTTrace(there, there, tuple(times)))):
+            for phi, bits in zip(formulas, state_bits(trace, formulas)):
+                for k in range(len(times)):
+                    expected = oracle.sat(here, there, tuple(times), k, phi, world)
+                    assert (bits >> k & 1 == 1) == expected, (format_formula(phi), times, k, world)
+                    checked += 1
+    assert placed > 170  # nearly every trace runs on positions, not state indices
+    assert checked == 309_240
+
+
+def test_dense_and_sparse_time_maps_match_oracle():
+    # one theory on both sides of the density gate: gaps of 0-2 put the states
+    # on positions, gaps of 40-90 (capped at 35) would take 35 bits a state,
+    # so that map keeps state indices and per-offset masks
+    theory = parse_theory(
+        "p U[2..30) q\nG[0..35) (p -> F[1..20) q)\nq S[3..) p\np T[0..12) q\n"
+        "X[1..31) p\nY[0..2) q\nH (p | O[5..35) q)\np R q\nF[20..) p\nwX[0..3) (p -> q)\n")
+    rng = random.Random(46)
+    for steps, positions in (((0, 1, 1, 2), True), ((40, 55, 90), False)):
+        times = [0]
+        for _ in range(59):
+            times.append(times[-1] + rng.choice(steps))
+        there = tuple(frozenset(a for a in "pq" if rng.random() < 0.7) for _ in times)
+        here = tuple(frozenset(a for a in state if rng.random() < 0.8) for state in there)
+        program = Program(theory.formulas).at(tuple(times))
+        assert (program.position(59) > 59) == positions
+        trace = TimedHTTrace(here, there, tuple(times))
+        for phi, bits in zip(theory.formulas, state_bits(trace, theory.formulas)):
+            for k in range(60):
+                assert (bits >> k & 1 == 1) == oracle.sat(here, there, trace.times, k, phi), \
+                    (format_formula(phi), positions, k)
+
+
+def test_sparse_time_keeps_state_indices(tmp_path, capsys):
+    # 2,000 states 5,000-10,000 apart under windows up to [0..1000000]: on
+    # positions that would be about 15 M bits per node, so the program keeps
+    # state indices and `check` answers quickly; sampled states against the
+    # oracle, the two rules' bodies at random states too
+    from metricht.cli import main
+    rng = random.Random(47)
+    n = 2000
+    times = [0]
+    for _ in range(n - 1):
+        times.append(times[-1] + rng.randint(5000, 10000))
+    states = tuple(frozenset(a for a, odds in (("p", 0.9), ("q", 0.3)) if rng.random() < odds)
+                   for _ in range(n))
+    rules = "G (p -> F[1..500000) q)\nG[0..1000000] (p | H[0..300000] p)\n"
+    (tmp_path / "rules.lp").write_text(rules)
+    (tmp_path / "trace.json").write_text(json.dumps(
+        {"states": [{"time": t, "there": sorted(s)} for t, s in zip(times, states)]}))
+    formulas = list(parse_theory(rules).formulas)
+    bodies = [formulas[0].rhs, formulas[1].rhs]
+    with time_limit(5, "check on 2,000 sparse states"):
+        code = main(["check", str(tmp_path / "rules.lp"), str(tmp_path / "trace.json"),
+                     "--at", str(n - 100)])
+        bits = state_bits(TimedHTTrace(states, states, tuple(times)), formulas + bodies)
+    lines = capsys.readouterr().out.splitlines()
+    program = Program(formulas).at(tuple(times))
+    assert program.position(n - 1) == n - 1
+    for i, phi in enumerate(formulas):
+        expected = oracle.sat(states, states, tuple(times), n - 100, phi)
+        assert lines[i] == f"formula {i + 1}: {'SAT' if expected else 'UNSAT'}"
+        for k in (n - 1, n - 2, n - 60, n - 100):
+            assert (bits[i] >> k & 1 == 1) == oracle.sat(states, states, tuple(times), k, phi)
+    assert code == (0 if lines[-1] == "SAT" else 1)
+    for k in rng.sample(range(n), 40):
+        for phi, value in zip(bodies, bits[2:]):
+            assert (value >> k & 1 == 1) == oracle.sat(states, states, tuple(times), k, phi)
