@@ -4,15 +4,17 @@ Implication is evaluated in both the here-world and the there-world (on a total
 trace they coincide: plain metric LTL).  `Program` compiles a theory into a
 post-order list of its distinct subformulas; `at` binds it to a time map.  Run
 on one trace, each node gets an int with a bit per time position (`Program.at`):
-O(log W) int operations per operator, W its window's width in positions.  Run
-on a chunk of `ht_tables` traces, a node at state k gets an int whose bit i is
-its truth on trace i (Knuth, TAOCP 4A 7.1).
+O(log W) int operations per operator, W its window's width in positions.  Time
+too sparse for positions keeps a bit per state, and U/R/S/T find each state's
+nearest witness by bisection: O(L log L) for L states.  Run on a chunk of
+`ht_tables` traces, a node at state k gets an int whose bit i is its truth on
+trace i (Knuth, TAOCP 4A 7.1).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict
+from bisect import bisect_left
+from collections import Counter
 from functools import cache
 from itertools import accumulate, repeat
 from operator import getitem, lshift, rshift, sub
@@ -69,9 +71,10 @@ class Program:
         its stamp.  A window [lo..hi) is then the same range of positions
         [L, H) from every state, L = 0 if lo = 0 else lo*c - (m - 1) and
         H = hi*c - (m - 1).  Positions are taken while they span at most
-        DENSITY bits per state; sparser time keeps p_k = k and per-offset
-        window masks.  A program whose windows are all [0..) reads only the
-        order of the states, so it takes p_k = k on its window line."""
+        DENSITY bits per state; sparser time keeps p_k = k and the
+        nearest-witness scan (`_scan`).  A program whose windows are all [0..)
+        reads only the order of the states, so it takes p_k = k on its window
+        line."""
         timed = object.__new__(Program)  # not compiled again
         timed.nodes, timed.roots, timed.chunk_nodes = self.nodes, self.roots, self.chunk_nodes
         timed.tau, timed.full, timed.pos, timed._masks = tau, (1 << len(tau)) - 1, None, {}
@@ -161,7 +164,7 @@ class Program:
             elif self.scale:
                 value = self._line(kind, detail, out[a], out[b])
             else:
-                value = self._binary(kind, detail, out[a], out[b])
+                value = self._scan(kind, detail, out[a], out[b])
             out.append(value)
         return out
 
@@ -293,56 +296,31 @@ class Program:
             self._masks[window] = self._spread("0" + key)
         return self._masks[window]
 
-    def _binary(self, kind, window: tuple[int, int | None], lhs: int, rhs: int) -> int:
-        """U/S: some j in the window has rhs, and lhs from k up to but not at j.
-
-        Offset d looks at j = k + d (U) or k - d (S) for every k at once, and
-        `pending` holds the undecided states; once an unbounded window is open
-        for all of them, the log-step fill of [0..w) read d states away decides
-        the rest.  R/T are U/S on complemented operands."""
+    def _scan(self, kind, window: tuple[int, int | None], lhs: int, rhs: int) -> int:
+        """U/S with a bit per state, by the nearest witness.  Bisection on `tau` gives
+        state k's window as the index range [start, end); U holds at k when the
+        first rhs state from `start` on lies before `end` and no later than the
+        first lhs failure at or after k.  O(log L) a state for L states.  S/T are
+        U/R on the trace read backwards, time negated; R/T are U/S on complemented
+        operands."""
+        (lo, hi), tau, n = window, self.tau, len(self.tau)
         flip = self.full if kind is Release or kind is Trigger else 0
         future = kind is Until or kind is Release
-        lhs, rhs, out, pending = lhs ^ flip, rhs ^ flip, 0, self.full
-        for d, (inside, alive) in enumerate(masks := self._window(window, future)):
-            pending &= alive
-            out |= pending & inside & (rhs >> d if future else rhs << d)
-            pending &= lhs >> d if future else lhs << d
-            if not pending:
-                break
-        if pending and window[1] is None:
-            d, s = len(masks), 1
-            while s < len(self.tau):  # rhs: some j within s of k
-                grown = rhs | lhs & (rhs >> s if future else rhs << s)
-                if grown == rhs:  # a fixpoint: no j further away adds a state
-                    break
-                rhs, lhs, s = grown, lhs & (lhs >> s if future else lhs << s), s << 1
-            out |= pending & (rhs >> d if future else rhs << d)
-        return out ^ flip
-
-    def _window(self, window: tuple[int, int | None], future: bool) -> list[tuple[int, int]]:
-        """Per offset d: the states whose window holds the state d away, and those
-        whose window is still open there; until all are closed, or all open."""
-        if (window, future) in self._masks:
-            return self._masks[window, future]
-        (lo, hi), tau, n = window, self.tau, len(self.tau)
-        zero = bytearray(n + 7 >> 3)  # a bit per state, set in place: no int rebuilt per state
-        opened, closed = defaultdict(zero.copy), defaultdict(zero.copy)  # offset -> those states
-        for k, t in enumerate(tau if lo or hi is not None else ()):
-            if future:  # the window of k opens at offset a and closes at b
-                a = bisect_left(tau, t + lo, k) - k
-                b = n - k if hi is None else bisect_left(tau, t + hi, k) - k
-            else:
-                a = k + 1 - bisect_right(tau, t - lo, 0, k + 1)
-                b = k + 1 if hi is None else k + 1 - bisect_right(tau, t - hi, 0, k + 1)
-            opened[a][k >> 3] |= 1 << (k & 7)
-            closed[b][k >> 3] |= 1 << (k & 7)
-        masks, entered, alive = [], 0, self.full  # unbounded, a <= b: the last open ends it
-        for d in range(max(closed if hi is not None else opened, default=0)):
-            entered |= int.from_bytes(opened.get(d, b""), "little")
-            alive &= ~int.from_bytes(closed.get(d, b""), "little")
-            masks.append((entered & alive, alive))
-        self._masks[window, future] = masks
-        return masks
+        lhs, rhs = bin(lhs ^ flip | 1 << n)[3:], bin(rhs ^ flip | 1 << n)[3:]  # last state first
+        if future:
+            lhs, rhs = lhs[::-1], rhs[::-1]
+        else:
+            tau = [-t for t in reversed(tau)]
+        # taken once per operator; n: no rhs and no failure up to the end
+        hits = [k for k, bit in enumerate(rhs) if bit == "1"] + [n]
+        fails = [k for k, bit in enumerate(lhs) if bit == "0"] + [n]
+        out = []
+        for k, t in enumerate(tau):
+            start = bisect_left(tau, t + lo, k)
+            end = n if hi is None else bisect_left(tau, t + hi, k)
+            j = hits[bisect_left(hits, start)]
+            out.append("1" if j < end and j <= fails[bisect_left(fails, k)] else "0")
+        return int("".join(out[::-1] if future else out), 2) ^ flip
 
 
 def state_bits(trace: TimedHTTrace, formulas) -> list[int]:

@@ -265,36 +265,40 @@ def test_table_runs_of_chains_and_shared_nodes_match_oracle():
     assert checked == 136_170
 
 
-def test_window_masks_match_tau_differences():
-    # per offset d, the states k whose state j = k + d (future) or k - d (past)
-    # lies within the window, and those whose window is still open at j; on
-    # random strict and non-strict time maps of up to 100 states
-    rng = random.Random(21)
-    windows = [(0, None), (1, None), (3, None), (0, 1), (0, 4), (2, 5), (1, 2), (4, 30)]
-    for steps in ((1, 1, 2, 3), (0, 0, 1, 2)):
-        for _ in range(12):
+def test_sparse_line_matches_oracle_in_both_worlds():
+    # non-strict traces of 2-9 states with gaps from {0, 1, 30, 45, 90, 200}, kept
+    # only when they are too sparse for time positions (a single state always
+    # fits), so each run takes the bit-per-state line; window bounds on both
+    # sides of stamp differences, the empty [50..40) included, under U/R/S/T,
+    # some nested under ->, at every state, in the here-world and the there-world
+    rng = random.Random(48)
+    p, q = Atom("p"), Atom("q")
+    windows = [FULL, Interval(1, None), Interval(30, None), Interval(0, 40), Interval(25, 60),
+               Interval(0, 1), Interval(30, 31), Interval(50, 40), Interval(10, 200)]
+    ops = (Until, Release, Since, Trigger)
+    formulas = [op(w, p, q) for w in windows for op in ops]
+    formulas += [op(w, Implies(p, q), neg(q)) for w in windows[3:6] for op in ops]
+    formulas += [Implies(op(w, q, p), op(v, p, neg(q)))
+                 for w, v in zip(windows, windows[::-1]) for op in ops]
+    checked = 0
+    for _ in range(400):
+        while True:
             times = [0]
-            for _ in range(rng.randint(0, 99)):
-                times.append(times[-1] + rng.choice(steps))
-            program, n = Program(()).at(tuple(times)), len(times)
-            for window, future in [(w, f) for w in windows for f in (True, False)]:
-                lo, hi = window
-
-                def reference(d):
-                    inside = alive = 0
-                    for k in range(n):
-                        j = k + d if future else k - d
-                        gap = abs(times[j] - times[k]) if 0 <= j < n else None
-                        if gap is not None and (hi is None or gap < hi):
-                            alive |= 1 << k
-                            inside |= (gap >= lo) << k
-                    return inside, alive
-
-                masks = program._window(window, future)
-                assert masks == [reference(d) for d in range(len(masks))], (times, window, future)
-                # the list ends once every window is closed, or every open one entered
-                inside, alive = reference(len(masks))
-                assert (alive if hi is not None else alive & ~inside) == 0, (times, window, future)
+            for _ in range(rng.randint(1, 8)):
+                times.append(times[-1] + rng.choice((0, 1, 30, 45, 90, 200)))
+            n = len(times)
+            if Program(formulas).at(tuple(times)).position(n - 1) == n - 1 < times[-1]:
+                break
+        there = tuple(frozenset(a for a in "pq" if rng.random() < 0.6) for _ in times)
+        here = tuple(frozenset(a for a in state if rng.random() < 0.7) for state in there)
+        for world, trace in (("h", TimedHTTrace(here, there, tuple(times))),
+                             ("t", TimedHTTrace(there, there, tuple(times)))):
+            for phi, bits in zip(formulas, state_bits(trace, formulas)):
+                for k in range(n):
+                    expected = oracle.sat(here, there, tuple(times), k, phi, world)
+                    assert (bits >> k & 1 == 1) == expected, (format_formula(phi), times, k, world)
+                    checked += 1
+    assert checked == 398_328
 
 
 def test_program_matches_oracle_on_traces_longer_than_a_word():
@@ -339,6 +343,33 @@ def test_nested_unbounded_operators_take_linear_time():
     with time_limit(20, "mht_sat on a 20,000-state trace"):
         for text in ("G G F q", "G (p U q)", "H O q"):
             assert mht_sat(trace, 0, parse_formula(text)), text
+
+
+def test_sparse_scan_takes_n_log_n_time():
+    # 200,000 states 20-40 apart under windows of 2,000 and 3,000 (about 66
+    # and 100 states): positions would take about 30 bits a state, so both rules
+    # run on the bit-per-state line, where a scan that shifted a whole int once
+    # per state would take quadratic time; then the rules against the oracle
+    # near the end each one reads toward, and their bodies at sampled states
+    rng = random.Random(49)
+    n = 200_000
+    times = [0]
+    for _ in range(n - 1):
+        times.append(times[-1] + rng.randint(20, 40))
+    states = tuple(frozenset(a for a, odds in (("p", 0.5), ("q", 0.02)) if rng.random() < odds)
+                   for _ in range(n))
+    rules = list(parse_theory("G (p -> F[1..2000) q)\nH (q -> O[1..3000] p)\n").formulas)
+    bodies = [rules[0].rhs, rules[1].rhs]
+    with time_limit(10, "state_bits on 200,000 sparse states"):
+        bits = state_bits(TimedHTTrace(states, states, tuple(times)), rules + bodies)
+    assert Program(rules).at(tuple(times)).position(n - 1) == n - 1
+    for phi, value, ks in ((rules[0], bits[0], (n - 1, n - 2, n - 150)),
+                           (rules[1], bits[1], (0, 1, 150))):
+        for k in ks:
+            assert (value >> k & 1 == 1) == oracle.sat(states, states, tuple(times), k, phi), k
+    for k in rng.sample(range(n), 200):
+        for phi, value in zip(bodies, bits[2:]):
+            assert (value >> k & 1 == 1) == oracle.sat(states, states, tuple(times), k, phi), k
 
 
 def test_position_run_matches_oracle_in_both_worlds():
