@@ -26,24 +26,71 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 SPARSE = "tests/test_semantics.py::test_sparse_line_matches_oracle_in_both_worlds"
+POSITIONS = "tests/test_semantics.py::test_position_run_matches_oracle_in_both_worlds"
+TABLES = "tests/test_semantics.py::test_table_runs_of_chains_and_shared_nodes_match_oracle"
+EQUIV = "tests/test_equilibrium.py::test_bit_parallel_equiv_matches_the_plain_search"
+REGIONS = "tests/test_equilibrium.py::test_region_classes_match_the_plain_search"
+FOM = "tests/test_fom.py::test_fom_tables_match_oracle_exhaustively"
+CAP = "tests/test_cli.py::test_qht_equilibrium_names_a_failed_there_world_before_the_subset_cap"
+
+# the sparse scan's loop body: the failure at k, then k's bit
+FAIL = '            fail = k if lhs[k] == "0" else fail\n'
+BIT = ('            j = step * hits[starts[k]]\n'
+       '            out.append("1" if j < step * stops[k] and j <= step * fail else "0")\n')
 
 CATALOGUE = [
-    # the sparse scan: each window bound moved past the stamps equal to it, where
-    # bisect_right would put it
-    ("metricht/semantics.py", "start = bisect_left(tau, t + lo, k)",
-     "start = bisect_left(tau, t + lo + 1, k)", [SPARSE]),
-    ("metricht/semantics.py", "bisect_left(tau, t + hi, k)", "bisect_left(tau, t + hi + 1, k)",
+    # the window table: each bound moved past the stamps equal to it, in both
+    # directions; then every bound, toward the future only and the past only
+    ("metricht/semantics.py", "else nearest(lo)", "else nearest(lo + 1)", [SPARSE]),
+    ("metricht/semantics.py", "else nearest(hi)", "else nearest(hi + 1)", [SPARSE]),
+    ("metricht/semantics.py", "bisect_left(tau, t + x, k)", "bisect_right(tau, t + x, k)",
      [SPARSE]),
-    # the sparse scan: the farthest rhs state in the window in place of the nearest
-    ("metricht/semantics.py", "j = hits[bisect_left(hits, start)]",
-     "j = hits[bisect_left(hits, end) - 1]", [SPARSE]),
-    # the sparse scan: lhs not needed at k, or needed at the witness too
-    ("metricht/semantics.py", "fails[bisect_left(fails, k)]", "fails[bisect_left(fails, k + 1)]",
-     [SPARSE]),
-    ("metricht/semantics.py", "j < end and j <= fails", "j < end and j < fails", [SPARSE]),
-    # a here-world -> without the there-world's value of its node
-    ("metricht/semantics.py", "value &= upper[len(out)]", "pass",
-     ["tests/test_semantics.py::test_position_run_matches_oracle_in_both_worlds"]),
+    ("metricht/semantics.py", "bisect_right(tau, t - x, 0, k + 1)",
+     "bisect_left(tau, t - x, 0, k + 1)", [SPARSE]),
+    # the window table: one cache entry for both directions of a window
+    ("metricht/semantics.py", "key = window, future", "key = window,", [SPARSE]),
+    # the sparse scan: the farthest rhs state at or beyond the window's start in
+    # place of the nearest
+    ("metricht/semantics.py", 'k if rhs[k] == "1" else hits[k + step]',
+     'hits[k + step] if hits[k + step] != far or rhs[k] == "0" else k', [SPARSE]),
+    # the sparse scan: lhs not needed at k (its failure there counted only after
+    # k's bit is set), or needed at the witness too
+    ("metricht/semantics.py", FAIL + BIT, BIT + FAIL, [SPARSE]),
+    ("metricht/semantics.py", "j <= step * fail", "j < step * fail", [SPARSE]),
+    # a here-world -> without the there-world's value of its node, in `_run` and
+    # in `chunk`
+    ("metricht/semantics.py", "value &= upper[len(out)]", "pass", [POSITIONS]),
+    ("metricht/semantics.py", "if out and here is not there:", "if False:", [EQUIV]),
+    # `chunk`: a shared node's memo without the world, or without the state; a |
+    # that skips its rhs when its lhs is false instead of all true; a spine of &
+    # and | read as all &
+    ("metricht/semantics.py", "key = (node, k, here is there)", "key = (node, k)", [TABLES]),
+    ("metricht/semantics.py", "key = (node, k, here is there)", "key = (node, here is there)",
+     [TABLES]),
+    ("metricht/semantics.py", "elif kind is Or and out != full:", "elif kind is Or and out:",
+     [TABLES]),
+    ("metricht/semantics.py", "spine.append((kind, b))", "spine.append((And, b))", [TABLES]),
+    # an X/Y window that holds its upper bound, in `_gaps` and in `chunk`; the
+    # U/R/S/T window that `chunk` reads from the table without its farthest
+    # state, or without its nearest
+    ("metricht/semantics.py", "d < hi", "d <= hi", [POSITIONS]),
+    ("metricht/semantics.py", "d < upper", "d <= upper", [EQUIV]),
+    ("metricht/semantics.py", "for j in range(k, window.stop, window.step):",
+     "for j in range(k, window.stop - window.step, window.step):", [EQUIV]),
+    ("metricht/semantics.py", "if j in window:", "if j in window[1:]:", [EQUIV]),
+    # `fom.Program`: a flipped quantifier fold; a here-world -> without the
+    # there-world's value of its node
+    ("metricht/fom.py", "value & table >> s if kind is Forall else",
+     "value & table >> s if kind is Exists else", [FOM]),
+    ("metricht/fom.py", "value &= upper[i]", "pass", [FOM]),
+    # `fom.first_smaller_model`: the subset cap checked before the there-world
+    ("metricht/fom.py", "if not upper[root]:",
+     "if not upper[root] and len(atoms) <= MAX_SUBSET_ATOMS:", [CAP]),
+    # region classes: upper bounds dropped from the endpoints; `equiv` keyed on
+    # the left theory only
+    ("metricht/syntax.py", "(interval.lower, interval.upper)", "(interval.lower,)", [REGIONS]),
+    ("metricht/equilibrium.py", "region_keys(bounds, left.formulas + right.formulas)",
+     "region_keys(bounds, left.formulas)", [REGIONS]),
 ]
 
 

@@ -120,16 +120,11 @@ def unfold_next(phi: Formula) -> Formula:
     are rejected.
     """
     wk = match_weak(phi)
-    if wk is not None:
-        step, iv, arg = wk
+    if wk is not None or isinstance(phi, (Next, Prev)):  # weak, or strong
+        step, iv, arg = wk or (type(phi), phi.interval, phi.arg)
         if iv.is_empty() or (iv.lower, iv.upper) == (0, 1):
-            return TRUE
-        return WEAK_STEP[step](iv, unfold_next(arg))
-    if isinstance(phi, (Next, Prev)):
-        iv = phi.interval
-        if iv.is_empty() or (iv.lower, iv.upper) == (0, 1):
-            return BOT
-        return type(phi)(iv, unfold_next(phi.arg))
+            return TRUE if wk else BOT
+        return (WEAK_STEP[step] if wk else step)(iv, unfold_next(arg))
     if isinstance(phi, KERNEL_BINARY):
         if phi.interval.upper is None:
             raise ValueError("unfolding requires finite intervals on binary temporal nodes")

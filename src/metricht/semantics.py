@@ -5,15 +5,16 @@ trace they coincide: plain metric LTL).  `Program` compiles a theory into a
 post-order list of its distinct subformulas; `at` binds it to a time map.  Run
 on one trace, each node gets an int with a bit per time position (`Program.at`):
 O(log W) int operations per operator, W its window's width in positions.  Time
-too sparse for positions keeps a bit per state, and U/R/S/T find each state's
-nearest witness by bisection: O(L log L) for L states.  Run on a chunk of
-`ht_tables` traces, a node at state k gets an int whose bit i is its truth on
-trace i (Knuth, TAOCP 4A 7.1).
+too sparse for positions keeps a bit per state: each window's states are bisected
+once per binding, and U/R/S/T find each state's nearest witness in O(L) a run for L
+states.  Run on a chunk of `ht_tables` traces, a node at state k gets an int whose
+bit i is its truth on trace i (Knuth, TAOCP 4A 7.1).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import cache
 from itertools import accumulate, repeat
@@ -207,20 +208,17 @@ class Program:
             return out
         if kind is Bottom:
             return 0
-        (lower, upper), tau = detail, self.tau
         if kind is Next or kind is Prev:
-            j = k + 1 if kind is Next else k - 1
+            (lower, upper), tau, j = detail, self.tau, k + 1 if kind is Next else k - 1
             d = abs(tau[j] - tau[k]) if 0 <= j < len(tau) else -1
             inside = lower <= d and (upper is None or d < upper)
             return self.chunk(a, j, here, there, full, memo) if inside else 0
         # `pending` holds the undecided traces; R/T are U/S on complemented operands
-        flip = full if kind is Release or kind is Trigger else 0
-        out, pending = 0, full
-        for j in range(k, len(tau)) if kind is Until or kind is Release else range(k, -1, -1):
-            d = abs(tau[j] - tau[k])
-            if upper is not None and d >= upper:
-                break
-            if d >= lower:
+        starts, stops, step = self._ranges(detail, kind is Until or kind is Release)
+        window = range(starts[k], stops[k], step)
+        out, pending, flip = 0, full, full if kind is Release or kind is Trigger else 0
+        for j in range(k, window.stop, window.step):
+            if j in window:
                 rhs = self.chunk(b, j, here, there, full, memo) ^ flip
                 out |= pending & rhs
                 pending &= ~rhs
@@ -296,31 +294,38 @@ class Program:
             self._masks[window] = self._spread("0" + key)
         return self._masks[window]
 
+    def _ranges(self, window: tuple[int, int | None], future: bool) -> tuple:
+        """Per state k, range(starts[k], stops[k], step): its window's states, nearest first,
+        toward the future (U/R, step 1) or past (S/T, -1); bisected once, 8 bytes a state."""
+        key = window, future
+        if key not in self._masks:
+            (lo, hi), tau, n = window, self.tau, len(self.tau)
+            def nearest(x):  # per state k, the nearest state j with |t_j - t_k| >= x
+                if future:  # j >= k
+                    return (bisect_left(tau, t + x, k) for k, t in enumerate(tau))
+                return (bisect_right(tau, t - x, 0, k + 1) - 1 for k, t in enumerate(tau))
+            starts = range(n) if lo == 0 else nearest(lo)
+            stops = [n if future else -1] * n if hi is None else nearest(hi)
+            self._masks[key] = array("q", starts), array("q", stops), 1 if future else -1
+        return self._masks[key]
+
     def _scan(self, kind, window: tuple[int, int | None], lhs: int, rhs: int) -> int:
-        """U/S with a bit per state, by the nearest witness.  Bisection on `tau` gives
-        state k's window as the index range [start, end); U holds at k when the
-        first rhs state from `start` on lies before `end` and no later than the
-        first lhs failure at or after k.  O(log L) a state for L states.  S/T are
-        U/R on the trace read backwards, time negated; R/T are U/S on complemented
-        operands."""
-        (lo, hi), tau, n = window, self.tau, len(self.tau)
+        """U/S with a bit per state, by the nearest witness: a pass from the far end
+        keeps the nearest rhs state at or beyond each index and the nearest lhs failure
+        at or beyond k, and U holds at k when the first from the start of k's window
+        (`_ranges`) lies in it, no farther than the second.  O(L) a run for L states.
+        S/T look toward the past; R/T are U/S on complemented operands."""
+        n, future = len(self.tau), kind is Until or kind is Release
         flip = self.full if kind is Release or kind is Trigger else 0
-        future = kind is Until or kind is Release
-        lhs, rhs = bin(lhs ^ flip | 1 << n)[3:], bin(rhs ^ flip | 1 << n)[3:]  # last state first
-        if future:
-            lhs, rhs = lhs[::-1], rhs[::-1]
-        else:
-            tau = [-t for t in reversed(tau)]
-        # taken once per operator; n: no rhs and no failure up to the end
-        hits = [k for k, bit in enumerate(rhs) if bit == "1"] + [n]
-        fails = [k for k, bit in enumerate(lhs) if bit == "0"] + [n]
-        out = []
-        for k, t in enumerate(tau):
-            start = bisect_left(tau, t + lo, k)
-            end = n if hi is None else bisect_left(tau, t + hi, k)
-            j = hits[bisect_left(hits, start)]
-            out.append("1" if j < end and j <= fails[bisect_left(fails, k)] else "0")
-        return int("".join(out[::-1] if future else out), 2) ^ flip
+        lhs, rhs = (bin(bits ^ flip | 1 << n)[:2:-1] for bits in (lhs, rhs))  # state 0 first
+        (starts, stops, step), far = self._ranges(window, future), n if future else -1
+        hits, fail, out = [far] * (n + 1), far, []
+        for k in range(n - 1, -1, -1) if future else range(n):  # hits[n] is hits[-1] too
+            hits[k] = k if rhs[k] == "1" else hits[k + step]
+            fail = k if lhs[k] == "0" else fail
+            j = step * hits[starts[k]]
+            out.append("1" if j < step * stops[k] and j <= step * fail else "0")
+        return int("".join(out if future else reversed(out)), 2) ^ flip
 
 
 def state_bits(trace: TimedHTTrace, formulas) -> list[int]:

@@ -17,7 +17,8 @@ from metricht.parser import parse_theory
 from metricht.semantics import Program, ht_tables, is_model, mht_sat, strictness_axiom
 from metricht.syntax import Theory, neg
 from metricht.traces import (
-    EnumerationBounds, enumerate_total_traces, refinements, region_keys, total_trace,
+    EnumerationBounds, TimedHTTrace, enumerate_total_traces, refinements, region_keys,
+    state_sequences, total_trace,
 )
 
 RULES = parse_theory(
@@ -264,6 +265,42 @@ def test_region_classes_match_the_plain_search(strict):
         keys = [key for _, key in region_keys(bounds, left.formulas + right.formulas)]
         merged += len(set(keys)) < len(keys)
     assert merged
+
+
+def test_searches_on_sparse_time_match_the_oracle_and_the_plain_search(monkeypatch):
+    # windows of 40 over time maps up to 100: 8 of the 22 region classes are too
+    # sparse for time positions, so `models` runs them on the bit-per-state scan
+    # and the refinement scan and `equiv` run `chunk` on their window tables.
+    # Each class's first member is checked against the oracle (all 4,950 time
+    # maps agreed with it when these counts were recorded), and `equiv` against
+    # a search of every time map on its own, with no region classes
+    theory = parse_theory("G (p -> F[1..40) q)\nG (q -> O[20..40] p)\n")
+    bounds = EnumerationBounds(("p", "q"), 3, 100, exact_len=True)
+    firsts = {}
+    for times, key in region_keys(bounds, theory.formulas):
+        firsts.setdefault(key, times)
+    program = Program(theory.formulas)
+    sparse = [t for t in firsts.values() if program.at(t).position(2) == 2 < t[-1]]
+    assert len(firsts) == 22 and len(sparse) >= 8
+    models, equilibrium = enumerate_models(theory, bounds), enumerate_equilibrium(theory, bounds)
+    assert (len(models), len(equilibrium)) == (9729, 4950)
+    for times in firsts.values():
+        expected = [t for t in (TimedHTTrace(s, s, times) for s in state_sequences(("p", "q"), 3))
+                    if _oracle_model(t, theory)]
+        assert [m for m in models if m.times == times] == expected
+        assert [m for m in equilibrium if m.times == times] == [
+            m for m in expected if not any(_oracle_model(r, theory) for r in refinements(m))]
+    # O[20..40) in place of O[20..40]: a counterexample needs states 40 apart
+    open_end = parse_theory("G (p -> F[1..40) q)\nG (q -> O[20..40) p)\n")
+    found = [bounded_equiv(theory, other, bounds)
+             for other in (Theory(theory.formulas[::-1]), open_end)]
+    monkeypatch.setattr(metricht.equilibrium, "region_keys",
+                        lambda b, f: ((times, times) for times, _ in region_keys(b, f)))
+    assert found == [bounded_equiv(theory, other, bounds)
+                     for other in (Theory(theory.formulas[::-1]), open_end)]
+    trace, index, side = found[1].counterexample
+    assert trace.times == (0, 20, 40) and (index, side) == (1, "right")
+    assert _oracle_model(trace, theory) and not _oracle_model(trace, open_end)
 
 
 def _seeded_theory(rng, atoms=("p", "q")):
