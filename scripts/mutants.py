@@ -32,31 +32,33 @@ EQUIV = "tests/test_equilibrium.py::test_bit_parallel_equiv_matches_the_plain_se
 REGIONS = "tests/test_equilibrium.py::test_region_classes_match_the_plain_search"
 FOM = "tests/test_fom.py::test_fom_tables_match_oracle_exhaustively"
 CAP = "tests/test_cli.py::test_qht_equilibrium_names_a_failed_there_world_before_the_subset_cap"
+STRICT = "tests/test_cli.py::test_strict_searches_stop_at_the_longest_strict_length"
+WIDE = "tests/test_cli.py::test_rewrite_refuses_a_result_above_the_node_bound"
+UNFOLDED = "tests/test_rewrite.py::test_unfolded_size_counts_the_printed_expansion"
 
 # the sparse scan's loop body: the failure at k, then k's bit
 FAIL = '            fail = k if lhs[k] == "0" else fail\n'
-BIT = ('            j = step * hits[starts[k]]\n'
-       '            out.append("1" if j < step * stops[k] and j <= step * fail else "0")\n')
+BIT = ('            out.append("1" if step * hit < step * stop and step * hit <= step * fail '
+       'else "0")\n')
 
 CATALOGUE = [
-    # the window table: each bound moved past the stamps equal to it, in both
-    # directions; then every bound, toward the future only and the past only
-    ("metricht/semantics.py", "else nearest(lo)", "else nearest(lo + 1)", [SPARSE]),
-    ("metricht/semantics.py", "else nearest(hi)", "else nearest(hi + 1)", [SPARSE]),
-    ("metricht/semantics.py", "bisect_left(tau, t + x, k)", "bisect_right(tau, t + x, k)",
-     [SPARSE]),
-    ("metricht/semantics.py", "bisect_right(tau, t - x, 0, k + 1)",
-     "bisect_left(tau, t - x, 0, k + 1)", [SPARSE]),
-    # the window table: one cache entry for both directions of a window
-    ("metricht/semantics.py", "key = window, future", "key = window,", [SPARSE]),
-    # the sparse scan: the farthest rhs state at or beyond the window's start in
-    # place of the nearest
-    ("metricht/semantics.py", 'k if rhs[k] == "1" else hits[k + step]',
-     'hits[k + step] if hits[k + step] != far or rhs[k] == "0" else k', [SPARSE]),
+    # the sparse scan's window bounds: each moved past the stamps equal to it;
+    # the lower bound read without the direction of time; the upper-bound
+    # pointer let past k
+    ("metricht/semantics.py", "step * (tau[start - step] - t) >= lo",
+     "step * (tau[start - step] - t) > lo", [SPARSE]),
+    ("metricht/semantics.py", "step * (tau[stop - step] - t) >= hi",
+     "step * (tau[stop - step] - t) > hi", [SPARSE]),
+    ("metricht/semantics.py", "step * (tau[start - step] - t) >= lo",
+     "tau[start - step] - t >= lo", [SPARSE]),
+    ("metricht/semantics.py", "hi is not None and stop != k and", "hi is not None and", [SPARSE]),
+    # the sparse scan: the farthest rhs state of the window in place of the nearest
+    ("metricht/semantics.py", 'hit = start if rhs[start] == "1" else hit',
+     'hit = start if rhs[start] == "1" and hit == far else hit', [SPARSE]),
     # the sparse scan: lhs not needed at k (its failure there counted only after
     # k's bit is set), or needed at the witness too
     ("metricht/semantics.py", FAIL + BIT, BIT + FAIL, [SPARSE]),
-    ("metricht/semantics.py", "j <= step * fail", "j < step * fail", [SPARSE]),
+    ("metricht/semantics.py", "step * hit <= step * fail", "step * hit < step * fail", [SPARSE]),
     # a here-world -> without the there-world's value of its node, in `_run` and
     # in `chunk`
     ("metricht/semantics.py", "value &= upper[len(out)]", "pass", [POSITIONS]),
@@ -71,13 +73,12 @@ CATALOGUE = [
      [TABLES]),
     ("metricht/semantics.py", "spine.append((kind, b))", "spine.append((And, b))", [TABLES]),
     # an X/Y window that holds its upper bound, in `_gaps` and in `chunk`; the
-    # U/R/S/T window that `chunk` reads from the table without its farthest
-    # state, or without its nearest
+    # U/R/S/T window of `chunk` without its farthest state, or without its nearest
     ("metricht/semantics.py", "d < hi", "d <= hi", [POSITIONS]),
     ("metricht/semantics.py", "d < upper", "d <= upper", [EQUIV]),
-    ("metricht/semantics.py", "for j in range(k, window.stop, window.step):",
-     "for j in range(k, window.stop - window.step, window.step):", [EQUIV]),
-    ("metricht/semantics.py", "if j in window:", "if j in window[1:]:", [EQUIV]),
+    ("metricht/semantics.py", "if upper is not None and d >= upper:",
+     "if upper is not None and d >= upper - 1:", [EQUIV]),
+    ("metricht/semantics.py", "if d >= lower:", "if d > lower:", [EQUIV]),
     # `fom.Program`: a flipped quantifier fold; a here-world -> without the
     # there-world's value of its node
     ("metricht/fom.py", "value & table >> s if kind is Forall else",
@@ -86,6 +87,15 @@ CATALOGUE = [
     # `fom.first_smaller_model`: the subset cap checked before the there-world
     ("metricht/fom.py", "if not upper[root]:",
      "if not upper[root] and len(atoms) <= MAX_SUBSET_ATOMS:", [CAP]),
+    # strict searches: one length fewer than a strict trace can have
+    ("metricht/traces.py", "min(self.max_len, self.max_time + 1)",
+     "min(self.max_len, self.max_time)", [STRICT]),
+    # `rewrite --pass unf`: built before it is counted; a weak step counted as
+    # one node fewer
+    ("metricht/cli.py", 'size = unfolded_size(phi, cap) if name == "unf" else 0', "size = 0",
+     [WIDE]),
+    ("metricht/rewrite.py", "2 if type(phi) in (Until, Since) else 9",
+     "2 if type(phi) in (Until, Since) else 8", [UNFOLDED]),
     # region classes: upper bounds dropped from the endpoints; `equiv` keyed on
     # the left theory only
     ("metricht/syntax.py", "(interval.lower, interval.upper)", "(interval.lower,)", [REGIONS]),

@@ -15,7 +15,7 @@ import sys
 from .equilibrium import bounded_equiv, stream_models
 from .equilibrium import enumerate_equilibrium  # noqa: F401  (wrapped by bench/tracer.py)
 from .parser import parse_formula, parse_theory
-from .rewrite import PASSES, range_split
+from .rewrite import PASSES, range_split, unfolded_size
 from .semantics import Program, is_model, mht_sat  # noqa: F401  (wrapped by bench/tracer.py)
 from .syntax import Formula, format_formula, operands, postorder
 from .traces import EnumerationBounds, trace_from_json, trace_to_json
@@ -122,14 +122,19 @@ def cmd_rewrite(args) -> int:
     elif name not in PASSES:
         raise ValueError(f"--pass: unknown pass {name!r}; choose from "
                          f"{', '.join(sorted(PASSES))}, split:<i>")
+    cap = 1 << 14284  # 2^14284 has 4,300 digits, the most Python prints
     try:
-        result = range_split(phi, point) if split else PASSES[name](phi)
+        # unfolding builds O(n^2) nodes for a window of n, so its size comes first
+        size = unfolded_size(phi, cap) if name == "unf" else 0
+        if size <= MAX_REWRITE_NODES:
+            result = range_split(phi, point) if split else PASSES[name](phi)
+            size = _tree_size(result)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    size = _tree_size(result)
     if size > MAX_REWRITE_NODES:
-        print(f"error: the rewritten formula has {size:,} nodes, above the bound of "
+        count = f"{size:,}" if size < cap else "at least 2^14284"
+        print(f"error: the rewritten formula has {count} nodes, above the bound of "
               f"{MAX_REWRITE_NODES:,}", file=sys.stderr)
         return 1
     print(format_formula(result))

@@ -13,7 +13,7 @@ from functools import cache, reduce
 from .syntax import (
     And, Atom, BOT, Bottom, Formula, FULL, Interval, Next, Or, Prev, Release,
     Since, Trigger, TRUE, Until, WEAK_STEP, always, eventually, KERNEL_BINARY,
-    map_children, match_not, match_weak, neg, weak_next, weak_prev,
+    map_children, match_not, match_weak, neg, operands, postorder, weak_next, weak_prev,
 )
 
 _DUAL_BINARY = {Until: Release, Release: Until, Since: Trigger, Trigger: Since}
@@ -126,10 +126,48 @@ def unfold_next(phi: Formula) -> Formula:
             return TRUE if wk else BOT
         return (WEAK_STEP[step] if wk else step)(iv, unfold_next(arg))
     if isinstance(phi, KERNEL_BINARY):
-        if phi.interval.upper is None:
-            raise ValueError("unfolding requires finite intervals on binary temporal nodes")
-        return _expand(type(phi), phi.interval, unfold_next(phi.lhs), unfold_next(phi.rhs))
+        return _expand(type(phi), _finite(phi), unfold_next(phi.lhs), unfold_next(phi.rhs))
     return map_children(phi, unfold_next)
+
+
+def _finite(phi: Formula) -> Interval:
+    if phi.interval.upper is None:
+        raise ValueError("unfolding requires finite intervals on binary temporal nodes")
+    return phi.interval
+
+
+def unfolded_size(phi: Formula, cap: int) -> int:
+    """min(cap, the nodes of unfold_next(phi) as printed, a shared subformula once per
+    use), counted without building it: a window of n unfolds into O(n^2) shared
+    nodes that print as about 2^n."""
+    sizes: dict[int, int] = {}
+    for part in postorder((phi,)):
+        kind, wk = type(part), match_weak(part)
+        iv = wk[1] if wk else getattr(part, "interval", FULL)
+        if (wk or kind in (Next, Prev)) and (iv.is_empty() or (iv.lower, iv.upper) == (0, 1)):
+            size = 3 if wk else 1  # TRUE or BOT
+        elif kind in KERNEL_BINARY:
+            size = _expanded_size(part, sizes[id(part.lhs)], sizes[id(part.rhs)], cap)
+        else:
+            size = min(1 + sum([sizes[id(x)] for x in operands(part)]), cap)
+        sizes[id(part)] = size
+    return sizes[id(phi)]
+
+
+def _expanded_size(phi: Formula, a: int, b: int, cap: int) -> int:
+    """min(cap, the printed nodes of `_expand` on phi's window [m..n)), its lhs and rhs
+    unfolded into a and b nodes.  A part costs r: its combine node and its step (X or
+    weak X).  From j = 2 on, expand(0, j) doubles plus r, and so does each step of m."""
+    (m, n), r = (phi.interval.lower, _finite(phi).upper), 2 if type(phi) in (Until, Since) else 9
+    if m >= n:
+        return 1 if r == 2 else 3  # BOT or TRUE
+    if n - 2 > cap.bit_length():  # at least 2^(n - 2) nodes
+        return cap
+    if m == 0 and n == 1:
+        return b
+    d = n - m if m else n - 1  # the parts reach expand(0, j) for every j <= d; their sum:
+    reach = b + (1 + a + 2 * b + 2 * r) * ((1 << d - 1) - 1) - (d - 1) * r
+    return min((a + d * r + reach + (0 if m else 1 + b) + r << max(m - 1, 0)) - r, cap)
 
 
 def one_step_eliminate(phi: Formula) -> Formula:

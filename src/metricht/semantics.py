@@ -5,16 +5,15 @@ trace they coincide: plain metric LTL).  `Program` compiles a theory into a
 post-order list of its distinct subformulas; `at` binds it to a time map.  Run
 on one trace, each node gets an int with a bit per time position (`Program.at`):
 O(log W) int operations per operator, W its window's width in positions.  Time
-too sparse for positions keeps a bit per state: each window's states are bisected
-once per binding, and U/R/S/T find each state's nearest witness in O(L) a run for L
-states.  Run on a chunk of `ht_tables` traces, a node at state k gets an int whose
-bit i is its truth on trace i (Knuth, TAOCP 4A 7.1).
+too sparse for positions keeps a bit per state, and U/R/S/T sweep the states
+once from the far end, each window's bounds found by two pointers that only move
+toward the state: O(L) a run for L states.  Run on a chunk of `ht_tables`
+traces, a node at state k gets an int whose bit i is its truth on trace i
+(Knuth, TAOCP 4A 7.1).
 """
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import cache
 from itertools import accumulate, repeat
@@ -208,17 +207,19 @@ class Program:
             return out
         if kind is Bottom:
             return 0
+        (lower, upper), tau = detail, self.tau
         if kind is Next or kind is Prev:
-            (lower, upper), tau, j = detail, self.tau, k + 1 if kind is Next else k - 1
+            j = k + 1 if kind is Next else k - 1
             d = abs(tau[j] - tau[k]) if 0 <= j < len(tau) else -1
             inside = lower <= d and (upper is None or d < upper)
             return self.chunk(a, j, here, there, full, memo) if inside else 0
         # `pending` holds the undecided traces; R/T are U/S on complemented operands
-        starts, stops, step = self._ranges(detail, kind is Until or kind is Release)
-        window = range(starts[k], stops[k], step)
         out, pending, flip = 0, full, full if kind is Release or kind is Trigger else 0
-        for j in range(k, window.stop, window.step):
-            if j in window:
+        for j in range(k, len(tau)) if kind is Until or kind is Release else range(k, -1, -1):
+            d = abs(tau[j] - tau[k])
+            if upper is not None and d >= upper:
+                break
+            if d >= lower:
                 rhs = self.chunk(b, j, here, there, full, memo) ^ flip
                 out |= pending & rhs
                 pending &= ~rhs
@@ -294,37 +295,29 @@ class Program:
             self._masks[window] = self._spread("0" + key)
         return self._masks[window]
 
-    def _ranges(self, window: tuple[int, int | None], future: bool) -> tuple:
-        """Per state k, range(starts[k], stops[k], step): its window's states, nearest first,
-        toward the future (U/R, step 1) or past (S/T, -1); bisected once, 8 bytes a state."""
-        key = window, future
-        if key not in self._masks:
-            (lo, hi), tau, n = window, self.tau, len(self.tau)
-            def nearest(x):  # per state k, the nearest state j with |t_j - t_k| >= x
-                if future:  # j >= k
-                    return (bisect_left(tau, t + x, k) for k, t in enumerate(tau))
-                return (bisect_right(tau, t - x, 0, k + 1) - 1 for k, t in enumerate(tau))
-            starts = range(n) if lo == 0 else nearest(lo)
-            stops = [n if future else -1] * n if hi is None else nearest(hi)
-            self._masks[key] = array("q", starts), array("q", stops), 1 if future else -1
-        return self._masks[key]
-
     def _scan(self, kind, window: tuple[int, int | None], lhs: int, rhs: int) -> int:
-        """U/S with a bit per state, by the nearest witness: a pass from the far end
-        keeps the nearest rhs state at or beyond each index and the nearest lhs failure
-        at or beyond k, and U holds at k when the first from the start of k's window
-        (`_ranges`) lies in it, no farther than the second.  O(L) a run for L states.
-        S/T look toward the past; R/T are U/S on complemented operands."""
+        """U/S with a bit per state, by the nearest witness, in one pass from the far
+        end.  Two pointers bound state k's window: `start` its nearest state and
+        `stop` the first beyond it, both only moving toward k as k does.  U holds
+        at k when `hit`, the nearest rhs state from `start` on, lies before `stop`
+        and no farther than the nearest lhs failure from k on.  O(L) a run for L
+        states.  S/T look toward the past; R/T are U/S on complemented operands."""
         n, future = len(self.tau), kind is Until or kind is Release
+        (lo, hi), tau = window, self.tau
         flip = self.full if kind is Release or kind is Trigger else 0
         lhs, rhs = (bin(bits ^ flip | 1 << n)[:2:-1] for bits in (lhs, rhs))  # state 0 first
-        (starts, stops, step), far = self._ranges(window, future), n if future else -1
-        hits, fail, out = [far] * (n + 1), far, []
-        for k in range(n - 1, -1, -1) if future else range(n):  # hits[n] is hits[-1] too
-            hits[k] = k if rhs[k] == "1" else hits[k + step]
+        step, far = (1, n) if future else (-1, -1)
+        start = stop = hit = fail = far  # far: no such state
+        out = []
+        for k in range(n - 1, -1, -1) if future else range(n):
+            t = tau[k]
+            while start != k and step * (tau[start - step] - t) >= lo:
+                start -= step
+                hit = start if rhs[start] == "1" else hit
+            while hi is not None and stop != k and step * (tau[stop - step] - t) >= hi:
+                stop -= step
             fail = k if lhs[k] == "0" else fail
-            j = step * hits[starts[k]]
-            out.append("1" if j < step * stops[k] and j <= step * fail else "0")
+            out.append("1" if step * hit < step * stop and step * hit <= step * fail else "0")
         return int("".join(out if future else reversed(out)), 2) ^ flip
 
 

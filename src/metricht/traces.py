@@ -81,9 +81,9 @@ def reverse_trace(trace: TimedHTTrace) -> TimedHTTrace:
 class EnumerationBounds:
     """Finite search space: alphabet, trace length and final-time limits.
 
-    With strict_only, lengths above max_time + 1 yield nothing (a strict
-    trace of length L needs final time >= L - 1); such bounds are legal and
-    simply produce fewer traces.
+    With strict_only, lengths above max_time + 1 have no trace (a strict
+    trace of length L needs final time >= L - 1); such bounds are legal, and
+    `lengths` stops below them.
     """
 
     alphabet: tuple[str, ...]
@@ -100,8 +100,8 @@ class EnumerationBounds:
             raise ValueError("max_time must be non-negative")
 
     def lengths(self) -> range:
-        return range(self.max_len, self.max_len + 1) if self.exact_len \
-            else range(1, self.max_len + 1)
+        top = min(self.max_len, self.max_time + 1) if self.strict_only else self.max_len
+        return range(self.max_len, self.max_len + 1) if self.exact_len else range(1, top + 1)
 
 
 def _subsets(atoms: tuple[str, ...]) -> list[frozenset[str]]:

@@ -212,6 +212,25 @@ def test_equiv_commutativity(run, tmp_path):
     assert code == 0 and out.strip() == "EQUIVALENT (within bounds)"
 
 
+def test_strict_searches_stop_at_the_longest_strict_length(run, tmp_path):
+    # a strict trace of length L ends at time L - 1 or later, so up to time 2
+    # no length above 3 has a trace: a million of them answer at once
+    rules, reordered = tmp_path / "rules.lp", tmp_path / "reordered.lp"
+    lines = TRAFFIC.splitlines()[1:4]  # the traffic rules without X[5] push
+    rules.write_text("\n".join(lines) + "\n")
+    reordered.write_text("\n".join(lines[::-1]) + "\n")
+    last = []
+    commands = (["models", str(rules)], ["models", str(rules), "--equilibrium"],
+                ["equiv", str(rules), str(reordered)])
+    with time_limit(20, "strict searches with --max-len 1000000 --max-time 2"):
+        for command in commands:
+            short = run(*command, "--max-len", "3", "--max-time", "2")
+            assert run(*command, "--max-len", "1000000", "--max-time", "2") == short
+            assert short[0] == 0
+            last.append(short[1].splitlines()[-1])
+    assert last == ["34 models", "4 models", "EQUIVALENT (within bounds)"]
+
+
 def test_rewrite_passes(run):
     code, out = run("rewrite", "--formula", "p U[2..4) q", "--pass", "unf")
     assert code == 0
@@ -245,15 +264,19 @@ def test_rewrite_split_point_must_be_an_integer(capsys):
 
 
 def test_rewrite_refuses_a_result_above_the_node_bound(capsys):
-    # unfolding doubles the printed tree with each step of the window, while
-    # the shared result stays small enough to count at once
-    start = time.perf_counter()
-    assert main(["rewrite", "--formula", "p U[0..24) q", "--pass", "unf"]) == 1
-    assert time.perf_counter() - start < 1.0
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == \
-        "error: the rewritten formula has 33,554,430 nodes, above the bound of 1,000,000\n"
+    # unfolding [0..n) prints 2^(n+1) - 2 nodes but would build O(n^2) shared
+    # ones, so the count comes first and a refused window is never built; from
+    # 2^14284 on, near Python's 4,300 printable digits, it is not spelled out
+    for n, count in ((24, "33,554,430"), (400, f"{2 ** 401 - 2:,}"),
+                     (5000, f"{2 ** 5001 - 2:,}"), (1_000_000, "at least 2^14284"),
+                     (10 ** 40, "at least 2^14284")):
+        start = time.perf_counter()
+        assert main(["rewrite", "--formula", f"p U[0..{n}) q", "--pass", "unf"]) == 1
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == \
+            f"error: the rewritten formula has {count} nodes, above the bound of 1,000,000\n"
     assert main(["rewrite", "--formula", "p U[0..19) q", "--pass", "unf"]) == 1
     assert "1,048,574 nodes" in capsys.readouterr().err
 

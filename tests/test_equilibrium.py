@@ -270,7 +270,7 @@ def test_region_classes_match_the_plain_search(strict):
 def test_searches_on_sparse_time_match_the_oracle_and_the_plain_search(monkeypatch):
     # windows of 40 over time maps up to 100: 8 of the 22 region classes are too
     # sparse for time positions, so `models` runs them on the bit-per-state scan
-    # and the refinement scan and `equiv` run `chunk` on their window tables.
+    # and the refinement scan and `equiv` run `chunk`, which tests time inline.
     # Each class's first member is checked against the oracle (all 4,950 time
     # maps agreed with it when these counts were recorded), and `equiv` against
     # a search of every time map on its own, with no region classes

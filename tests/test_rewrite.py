@@ -3,11 +3,12 @@ import random
 import pytest
 
 from conftest import gen_formula, gen_interval, gen_trace, interval_subset
+from metricht.cli import _tree_size
 from metricht.equilibrium import bounded_equiv
 from metricht.parser import parse_formula, parse_theory
 from metricht.rewrite import (
     bool_dual, one_step_eliminate, push_negation, range_split, time_swap,
-    to_unary_nf, unfold_next,
+    to_unary_nf, unfold_next, unfolded_size,
 )
 from metricht.semantics import Program, mht_sat, state_bits
 from metricht.syntax import (
@@ -204,6 +205,20 @@ def test_unfold_output_shape_and_soundness():
         assert _no_binary_temporal(out)
         if rng.random() < 0.5:
             assert_preserves(unfold_next, phi, rng, cases=6)
+
+
+def test_unfolded_size_counts_the_printed_expansion():
+    # the count that the CLI's node bound reads before unfolding, on random
+    # formulas with weak and strong steps, and capped
+    rng = random.Random(26)
+    finite = lambda r: gen_interval(r, max_lo=4, max_width=5, finite_only=True)
+    for _ in range(1500):
+        phi = gen_formula(rng, rng.randint(1, 4), interval=finite)
+        size = _tree_size(unfold_next(phi))
+        assert unfolded_size(phi, 10 ** 9) == size, format_formula(phi)
+        assert unfolded_size(phi, 300) == min(size, 300), format_formula(phi)
+    with pytest.raises(ValueError, match="finite intervals"):
+        unfolded_size(parse_formula("p & (p U[1..w) q)"), 10 ** 9)
 
 
 def test_unfold_rejects_unbounded_binary_intervals():

@@ -269,12 +269,14 @@ def test_sparse_line_matches_oracle_in_both_worlds():
     # non-strict traces of 2-9 states with gaps from {0, 1, 30, 45, 90, 200}, kept
     # only when they are too sparse for time positions (a single state always
     # fits), so each run takes the bit-per-state line; window bounds on both
-    # sides of stamp differences, the empty [50..40) included, under U/R/S/T,
-    # some nested under ->, at every state, in the here-world and the there-world
+    # sides of stamp differences, the empty [50..40) and [0..0) included, under
+    # U/R/S/T, some nested under ->, at every state, in the here-world and the
+    # there-world
     rng = random.Random(48)
     p, q = Atom("p"), Atom("q")
     windows = [FULL, Interval(1, None), Interval(30, None), Interval(0, 40), Interval(25, 60),
-               Interval(0, 1), Interval(30, 31), Interval(50, 40), Interval(10, 200)]
+               Interval(0, 1), Interval(30, 31), Interval(50, 40), Interval(10, 200),
+               Interval(0, 0)]
     ops = (Until, Release, Since, Trigger)
     formulas = [op(w, p, q) for w in windows for op in ops]
     formulas += [op(w, Implies(p, q), neg(q)) for w in windows[3:6] for op in ops]
@@ -298,7 +300,7 @@ def test_sparse_line_matches_oracle_in_both_worlds():
                     expected = oracle.sat(here, there, tuple(times), k, phi, world)
                     assert (bits >> k & 1 == 1) == expected, (format_formula(phi), times, k, world)
                     checked += 1
-    assert checked == 398_328
+    assert checked == 436_264
 
 
 def test_program_matches_oracle_on_traces_longer_than_a_word():
