@@ -15,9 +15,9 @@ import sys
 from .equilibrium import bounded_equiv, stream_models
 from .equilibrium import enumerate_equilibrium  # noqa: F401  (wrapped by bench/tracer.py)
 from .parser import parse_formula, parse_theory
-from .rewrite import PASSES, range_split, unfolded_size
+from .rewrite import PASSES, printed_size, range_split
 from .semantics import Program, is_model, mht_sat  # noqa: F401  (wrapped by bench/tracer.py)
-from .syntax import Formula, format_formula, operands, postorder
+from .syntax import format_formula
 from .traces import EnumerationBounds, trace_from_json, trace_to_json
 from .traces import enumerate_total_traces  # noqa: F401  (bench/tracer.py wraps it here)
 
@@ -99,17 +99,6 @@ def cmd_equiv(args) -> int:
 MAX_REWRITE_NODES = 1_000_000  # `p U[0..18) q` unfolds to 524,286 nodes, [0..19) to twice that
 
 
-def _tree_size(phi: Formula) -> int:
-    """Nodes of phi as printed, a shared subformula once per use."""
-    sizes: dict[int, int] = {}
-    for part in postorder((phi,)):
-        size = 1
-        for sub in operands(part):
-            size += sizes[id(sub)]
-        sizes[id(part)] = size
-    return sizes[id(phi)]
-
-
 def cmd_rewrite(args) -> int:
     phi = _naming("--formula", parse_formula, args.formula)
     name = args.pass_name
@@ -122,18 +111,17 @@ def cmd_rewrite(args) -> int:
     elif name not in PASSES:
         raise ValueError(f"--pass: unknown pass {name!r}; choose from "
                          f"{', '.join(sorted(PASSES))}, split:<i>")
-    cap = 1 << 14284  # 2^14284 has 4,300 digits, the most Python prints
     try:
-        # unfolding builds O(n^2) nodes for a window of n, so its size comes first
-        size = unfolded_size(phi, cap) if name == "unf" else 0
+        # unf builds O(n^2) nodes for a window of n and onestep n parts: counted first
+        size = printed_size(phi, name) if name in ("unf", "onestep") else 0
         if size <= MAX_REWRITE_NODES:
             result = range_split(phi, point) if split else PASSES[name](phi)
-            size = _tree_size(result)
+            size = printed_size(result)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if size > MAX_REWRITE_NODES:
-        count = f"{size:,}" if size < cap else "at least 2^14284"
+    if size > MAX_REWRITE_NODES:  # printed_size stops at 2^14284, the most digits Python prints
+        count = f"{size:,}" if size.bit_length() <= 14284 else "at least 2^14284"
         print(f"error: the rewritten formula has {count} nodes, above the bound of "
               f"{MAX_REWRITE_NODES:,}", file=sys.stderr)
         return 1

@@ -66,7 +66,7 @@ def stream_models(theory: Theory, bounds: EnumerationBounds,
     to run every state sequence; later members replay the accepted ones."""
     found: dict[tuple, list] = {}
     program = Program(theory.formulas)
-    for times, key in region_keys(bounds, theory.formulas):
+    for times, key in region_keys(bounds, program.endpoints):
         if key in found:
             yield from (TimedHTTrace(states, states, times) for states in found[key])
             continue
@@ -106,7 +106,7 @@ def bounded_equiv(left: Theory, right: Theory, bounds: EnumerationBounds) -> Equ
     searched, split = set(), len(left.formulas)
     program = Program(left.formulas + right.formulas)
     lhs, rhs = program.roots[:split], program.roots[split:]
-    for times, key in region_keys(bounds, left.formulas + right.formulas):
+    for times, key in region_keys(bounds, program.endpoints):
         if key in searched:
             continue
         searched.add(key)

@@ -136,21 +136,31 @@ def _finite(phi: Formula) -> Interval:
     return phi.interval
 
 
-def unfolded_size(phi: Formula, cap: int) -> int:
-    """min(cap, the nodes of unfold_next(phi) as printed, a shared subformula once per
-    use), counted without building it: a window of n unfolds into O(n^2) shared
-    nodes that print as about 2^n."""
+def printed_size(phi: Formula, name: str = "", cap: int = 1 << 14284) -> int:
+    """min(cap, the nodes of phi as printed, a shared subformula once per use), or of
+    what the pass `name` makes of it for "unf" and "onestep", counted from the window
+    bounds without building it: a window of n unfolds into O(n^2) shared nodes that
+    print as about 2^n, and a one-step window of n into n parts."""
     sizes: dict[int, int] = {}
     for part in postorder((phi,)):
-        kind, wk = type(part), match_weak(part)
-        iv = wk[1] if wk else getattr(part, "interval", FULL)
-        if (wk or kind in (Next, Prev)) and (iv.is_empty() or (iv.lower, iv.upper) == (0, 1)):
-            size = 3 if wk else 1  # TRUE or BOT
-        elif kind in KERNEL_BINARY:
-            size = _expanded_size(part, sizes[id(part.lhs)], sizes[id(part.rhs)], cap)
-        else:
-            size = min(1 + sum([sizes[id(x)] for x in operands(part)]), cap)
-        sizes[id(part)] = size
+        size = 1
+        for x in operands(part):
+            size += sizes[id(x)]
+        if name == "unf":
+            kind, wk = type(part), match_weak(part)
+            iv = wk[1] if wk else getattr(part, "interval", FULL)
+            if (wk or kind in (Next, Prev)) and (iv.is_empty() or (iv.lower, iv.upper) == (0, 1)):
+                size = 3 if wk else 1  # TRUE or BOT
+            elif kind in KERNEL_BINARY:
+                size = _expanded_size(part, sizes[id(part.lhs)], sizes[id(part.rhs)], cap)
+        elif name == "onestep" and type(part) in (Next, Prev):  # see one_step_eliminate
+            m, n, a = part.interval.lower, part.interval.upper, sizes[id(part.arg)]
+            if n is None:  # the bare step, after G[1..m) #false when m > 1
+                size = a + (1 if m <= 1 else 5)
+            else:  # n - max(1, m) parts of 8 + a nodes and an |; F[1..2) arg is 4 fewer
+                parts = n - max(1, m)
+                size = parts * (9 + a) - (5 if m <= 1 else 1) if parts > 0 else 1
+        sizes[id(part)] = size if size < cap else cap
     return sizes[id(phi)]
 
 

@@ -21,8 +21,8 @@ from operator import getitem, lshift, rshift, sub
 from typing import Iterator
 
 from .syntax import (
-    And, Atom, Bottom, Formula, FULL, Implies, Interval, Next, Or, Prev,
-    Release, Since, Theory, Trigger, TRUE, Until, always, neg, postorder,
+    And, Atom, Bottom, Formula, FULL, Implies, Interval, KERNEL_BINARY, Next, Or,
+    Prev, Release, Since, Theory, Trigger, TRUE, Until, always, neg, postorder,
 )
 from .traces import TimedHTTrace
 
@@ -36,10 +36,12 @@ class Program:
 
     `nodes` holds (kind, detail, lhs, rhs) per subformula: the formula class,
     the atom name or window (lower, upper) and the operands' node numbers;
-    `roots` holds each formula's node.  `chunk_nodes` adds what only `chunk`
-    reads: for & and |, whether the lhs is a & or | too (as detail), and
-    whether the node is no leaf and used more than once, by other nodes or
-    as a root (node 0, a leaf, fills in for a missing operand).  A program
+    `roots` holds each formula's node; `endpoints` the sorted finite window
+    bounds, which cap the gaps (`at`) and key the region classes.
+    `chunk_nodes` adds what only `chunk` reads: for & and |, whether the lhs
+    is a & or | too (as detail), and whether the node is no leaf and used
+    more than once (by other nodes or as a root), or a U/R/S/T below two
+    others (node 0, a leaf, fills in for a missing operand).  A program
     bound by `at(tau)` runs traces (`bits`), placing the states on a line of
     time positions on first use.  Both runs follow one world rule: the
     there-world is evaluated first, and a here-world implication also needs
@@ -59,24 +61,26 @@ class Program:
                         seen[id(phi.arg if one else phi.lhs)], 0 if one else seen[id(phi.rhs)])
             seen[id(phi)] = number.setdefault(node, len(number))
         self.nodes, self.roots = list(number), [seen[id(phi)] for phi in formulas]
+        self.endpoints = sorted({x for _, detail, _, _ in self.nodes if type(detail) is tuple
+                                 for x in detail if x is not None})
         self.chunk_nodes = []  # shared by the bindings, filled by the first `ht_tables`
 
     def at(self, tau: tuple[int, ...]) -> Program:
         """This program bound to one time map: the same nodes and roots, its own masks.
 
         On its first run, state k gets the position p_k = t_k*c + r_k: t the
-        time map with every gap capped at max(M, 1), M the largest finite
-        window endpoint (no window test changes its answer), m the most states
-        sharing a stamp, c = 2m - 1 and r_k the rank of k among the states of
-        its stamp.  A window [lo..hi) is then the same range of positions
-        [L, H) from every state, L = 0 if lo = 0 else lo*c - (m - 1) and
-        H = hi*c - (m - 1).  Positions are taken while they span at most
-        DENSITY bits per state; sparser time keeps p_k = k and the
-        nearest-witness scan (`_scan`).  A program whose windows are all [0..)
-        reads only the order of the states, so it takes p_k = k on its window
-        line."""
+        time map with every gap capped at max(M, 1), M the last of `endpoints`
+        (no window test changes its answer), m the most states sharing a
+        stamp, c = 2m - 1 and r_k the rank of k among the states of its stamp.
+        A window [lo..hi) is then the same range of positions [L, H) from every
+        state, L = 0 if lo = 0 else lo*c - (m - 1) and H = hi*c - (m - 1).
+        Positions are taken while they span at most DENSITY bits per state;
+        sparser time keeps p_k = k and the nearest-witness scan (`_scan`).  A
+        program whose windows are all [0..) reads only the order of the states,
+        so it takes p_k = k on its window line."""
         timed = object.__new__(Program)  # not compiled again
-        timed.nodes, timed.roots, timed.chunk_nodes = self.nodes, self.roots, self.chunk_nodes
+        timed.nodes, timed.roots, timed.endpoints = self.nodes, self.roots, self.endpoints
+        timed.chunk_nodes = self.chunk_nodes
         timed.tau, timed.full, timed.pos, timed._masks = tau, (1 << len(tau)) - 1, None, {}
         timed._atoms = None  # see `_run`: a search runs many traces through one binding
         return timed
@@ -88,9 +92,7 @@ class Program:
         return self.pos[k]
 
     def _place(self) -> None:
-        tau, n = self.tau, len(self.tau)
-        cap = max([x for _, detail, _, _ in self.nodes if type(detail) is tuple
-                   for x in detail if x is not None] + [0])
+        tau, n, cap = self.tau, len(self.tau), self.endpoints[-1] if self.endpoints else 0
         steps, pos, m = [], range(n), 1  # windows [0..) only: the states in order will do
         if cap:
             steps, pos = list(map(sub, tau[1:], tau)), tau  # a time map starts at 0
@@ -174,8 +176,9 @@ class Program:
 
         here/there map each atom to its per-state cell masks (`ht_tables`); an
         atom without cells is false everywhere.  ``here is there`` marks the
-        there-world.  `memo` keeps a shared node's bits by (node, k, world) for
-        the chunk, so a node with many paths to it is evaluated once, `fresh`."""
+        there-world.  `memo` keeps a marked node's bits by (node, k, world) for
+        the chunk, so a node with many paths to it, or a window asked at k by
+        many windows of an outer one, is evaluated once, `fresh`."""
         kind, detail, a, b, shared = self.chunk_nodes[node]
         if shared and not fresh:
             key = (node, k, here is there)
@@ -380,9 +383,15 @@ def ht_tables(program: Program, alphabet: tuple[str, ...],
     nodes, lam = program.nodes, len(program.tau)
     if not program.chunk_nodes:  # once per compiled program: its bindings share the list
         uses = Counter(program.roots + [c for _, _, a, b in nodes for c in (a, b)])
+        deep = [0] * len(nodes)  # U/R/S/T above a node, up to 2 (X and Y ask one state)
+        for i in reversed(range(len(nodes))):  # parents first
+            kind, _, a, b = nodes[i]
+            inner = min(deep[i] + (kind in KERNEL_BINARY), 2)
+            deep[a], deep[b] = max(deep[a], inner), max(deep[b], inner)
         program.chunk_nodes += [
             (kind, nodes[a][0] in (And, Or) if kind is And or kind is Or else detail, a, b,
-             uses[i] > 1 and kind is not Atom and kind is not Bottom)
+             uses[i] > 1 and kind is not Atom and kind is not Bottom
+             or deep[i] > 1 and kind in KERNEL_BINARY)
             for i, (kind, detail, a, b) in enumerate(nodes)]
     atoms, offsets, here_bits = _layout(alphabet, there, lam)
     bits = here_bits * (2 if there is None else 1)

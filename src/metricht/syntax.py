@@ -250,16 +250,6 @@ def postorder(formulas):
                 yield nodes.pop()
 
 
-def interval_endpoints(formulas) -> list[int]:
-    """Sorted finite interval bounds (lower, and upper unless w) over all subformulas."""
-    found: set[int] = set()
-    for phi in postorder(formulas):
-        interval = getattr(phi, "interval", None)
-        if interval is not None:
-            found.update(b for b in (interval.lower, interval.upper) if b is not None)
-    return sorted(found)
-
-
 def map_children(phi: Formula, fn) -> Formula:
     """Rebuild phi with fn applied to each direct subformula."""
     if isinstance(phi, (Atom, Bottom)):

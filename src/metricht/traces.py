@@ -14,7 +14,6 @@ from operator import le
 from typing import Iterable, Iterator
 
 from .parser import ATOM_RE
-from .syntax import interval_endpoints
 
 
 def make_alphabet(names: Iterable[str]) -> tuple[str, ...]:
@@ -117,15 +116,15 @@ def _time_maps(length: int, max_time: int, strict: bool) -> Iterator[tuple[int, 
     return ((0,) + rest for rest in later)
 
 
-def region_keys(bounds: EnumerationBounds, formulas) -> Iterator[tuple[tuple[int, ...], tuple]]:
+def region_keys(bounds: EnumerationBounds, endpoints) -> Iterator[tuple[tuple[int, ...], tuple]]:
     """Each time map within bounds, in enumeration order, with its region key.
 
-    The key places every difference tau[j] - tau[k] (k < j) among the interval
-    endpoints.  Satisfaction reads time only through interval.contains(tau[j] -
-    tau[k]), so maps with equal keys (one region class, as in Alur and Dill's
-    timed automata) give the same verdict for every state sequence.
+    The key places every difference tau[j] - tau[k] (k < j) among a theory's
+    sorted interval endpoints (`semantics.Program.endpoints`).  Satisfaction
+    reads time only through interval.contains(tau[j] - tau[k]), so maps with
+    equal keys (one region class, as in Alur and Dill's timed automata) give
+    the same verdict for every state sequence.
     """
-    endpoints = interval_endpoints(formulas)
     for length in bounds.lengths():
         for times in _time_maps(length, bounds.max_time, bounds.strict_only):
             yield times, tuple(bisect_right(endpoints, t - s)

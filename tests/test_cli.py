@@ -265,13 +265,17 @@ def test_rewrite_split_point_must_be_an_integer(capsys):
 
 def test_rewrite_refuses_a_result_above_the_node_bound(capsys):
     # unfolding [0..n) prints 2^(n+1) - 2 nodes but would build O(n^2) shared
-    # ones, so the count comes first and a refused window is never built; from
-    # 2^14284 on, near Python's 4,300 printable digits, it is not spelled out
-    for n, count in ((24, "33,554,430"), (400, f"{2 ** 401 - 2:,}"),
-                     (5000, f"{2 ** 5001 - 2:,}"), (1_000_000, "at least 2^14284"),
-                     (10 ** 40, "at least 2^14284")):
+    # ones, and eliminating a one-step window [m..n) builds about n parts, so
+    # the count comes first and a refused window is never built; from 2^14284
+    # on, near Python's 4,300 printable digits, it is not spelled out
+    unfolded = [(f"p U[0..{n}) q", "unf", count) for n, count in (
+        (24, "33,554,430"), (400, f"{2 ** 401 - 2:,}"), (5000, f"{2 ** 5001 - 2:,}"),
+        (1_000_000, "at least 2^14284"), (10 ** 40, "at least 2^14284"))]
+    stepped = [("X[0..200000) p", "onestep", "1,999,985"),
+               (f"Y[3..{10 ** 40}) p", "onestep", f"{10 ** 41 - 31:,}")]
+    for formula, name, count in unfolded + stepped:
         start = time.perf_counter()
-        assert main(["rewrite", "--formula", f"p U[0..{n}) q", "--pass", "unf"]) == 1
+        assert main(["rewrite", "--formula", formula, "--pass", name]) == 1
         assert time.perf_counter() - start < 1.0
         out = capsys.readouterr()
         assert out.out == ""

@@ -262,7 +262,8 @@ def test_region_classes_match_the_plain_search(strict):
         # the reordered copy is equivalent, so that comparison scans the whole space
         for other in (right, Theory(left.formulas[::-1])):
             assert bounded_equiv(left, other, bounds) == _plain_equiv(left, other, bounds)
-        keys = [key for _, key in region_keys(bounds, left.formulas + right.formulas)]
+        endpoints = Program(left.formulas + right.formulas).endpoints
+        keys = [key for _, key in region_keys(bounds, endpoints)]
         merged += len(set(keys)) < len(keys)
     assert merged
 
@@ -277,7 +278,7 @@ def test_searches_on_sparse_time_match_the_oracle_and_the_plain_search(monkeypat
     theory = parse_theory("G (p -> F[1..40) q)\nG (q -> O[20..40] p)\n")
     bounds = EnumerationBounds(("p", "q"), 3, 100, exact_len=True)
     firsts = {}
-    for times, key in region_keys(bounds, theory.formulas):
+    for times, key in region_keys(bounds, Program(theory.formulas).endpoints):
         firsts.setdefault(key, times)
     program = Program(theory.formulas)
     sparse = [t for t in firsts.values() if program.at(t).position(2) == 2 < t[-1]]
@@ -387,6 +388,34 @@ def test_table_runs_of_shared_nodes_and_long_chains(capsys, tmp_path, text, mode
         assert capsys.readouterr().out == "EQUIVALENT (within bounds)\n"
 
 
+def test_table_runs_of_nested_windows_grow_linearly(monkeypatch):
+    # in G[0..4) (F[0..4) (G[0..4) ...)) every window of an operator asks the
+    # operator below at up to four states, and overlapping windows ask it at the
+    # same state again; evaluated once per chunk, state and world, a nest twice
+    # as deep costs at most twice the `chunk` calls (at depth 12 an unmemoised
+    # nest made about 12 times as many as at depth 6)
+    calls = []
+    chunk = Program.chunk
+
+    def counting(self, *args):
+        calls.append(None)
+        return chunk(self, *args)
+
+    monkeypatch.setattr(Program, "chunk", counting)
+    counts = {}
+    for depth in (6, 12):
+        nest = "p"
+        for level in range(depth):
+            nest = f"{'F' if level % 2 else 'G'}[0..4) ({nest})"
+        left = parse_theory(f"G (q -> p)\n{nest}\n")
+        calls.clear()
+        with time_limit(20, f"equiv of a {depth}-deep nest"):
+            assert bounded_equiv(left, Theory(left.formulas[::-1]),
+                                 EnumerationBounds(("p", "q"), 5, 4)).equivalent
+        counts[depth] = len(calls)
+    assert counts[12] <= 2 * counts[6], counts
+
+
 def test_equiv_memory_stays_bounded():
     # 3 atoms at L = 4: 2**24 (there, here) indices per time map, in 2**16-bit chunks
     atoms = ("p", "q", "r")
@@ -419,7 +448,7 @@ def test_searches_compile_one_program_per_region_class(monkeypatch):
 
     def first_maps(bounds, formulas):  # class key -> its first time map, in search order
         first = {}
-        for times, key in region_keys(bounds, formulas):
+        for times, key in region_keys(bounds, Program(formulas).endpoints):
             first.setdefault(key, times)
         return first
 
@@ -436,7 +465,7 @@ def test_searches_compile_one_program_per_region_class(monkeypatch):
         verdict = bounded_equiv(left, right, bounds)
         searched = classes
         if not verdict.equivalent:  # the search stops at the counterexample's class
-            key = next(key for times, key in region_keys(bounds, both)
+            key = next(key for times, key in region_keys(bounds, Program(both).endpoints)
                        if times == verdict.counterexample[0].times)
             searched = classes[:classes.index(key) + 1]
             assert len(searched) > 1

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import gen_formula, gen_interval
 from metricht import fom, syntax
-from metricht.cli import _tree_size
+from metricht.rewrite import printed_size
 
 P, Q, X = syntax.Atom("p"), syntax.Atom("q"), fom.Var("x")
 IV = syntax.Interval(1, 3)
@@ -100,12 +100,12 @@ def _fom_size(sentence) -> int:
 
 def test_bench_tree_size_agrees_with_the_program():
     # the benchmark counts parser, rewrite and translation nodes through
-    # dataclasses.fields; the CLI counts formula nodes through postorder
+    # dataclasses.fields; `rewrite.printed_size` counts formula nodes through postorder
     tree_size = _bench_tree_size()
     rng = random.Random(16)
     nonempty = lambda r: gen_interval(r, nonempty_only=True)
     for _ in range(300):
         phi = gen_formula(rng, rng.randint(0, 5), interval=nonempty)
-        assert tree_size(phi, syntax.Formula) == _tree_size(phi)
+        assert tree_size(phi, syntax.Formula) == printed_size(phi)
         for sentence in (fom.translate(phi, 0), fom.simplify_fom(fom.translate(phi, 0))):
             assert tree_size(sentence, fom.FOMFormula) == _fom_size(sentence)

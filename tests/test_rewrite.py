@@ -3,12 +3,11 @@ import random
 import pytest
 
 from conftest import gen_formula, gen_interval, gen_trace, interval_subset
-from metricht.cli import _tree_size
 from metricht.equilibrium import bounded_equiv
 from metricht.parser import parse_formula, parse_theory
 from metricht.rewrite import (
-    bool_dual, one_step_eliminate, push_negation, range_split, time_swap,
-    to_unary_nf, unfold_next, unfolded_size,
+    bool_dual, one_step_eliminate, printed_size, push_negation, range_split, time_swap,
+    to_unary_nf, unfold_next,
 )
 from metricht.semantics import Program, mht_sat, state_bits
 from metricht.syntax import (
@@ -214,11 +213,27 @@ def test_unfolded_size_counts_the_printed_expansion():
     finite = lambda r: gen_interval(r, max_lo=4, max_width=5, finite_only=True)
     for _ in range(1500):
         phi = gen_formula(rng, rng.randint(1, 4), interval=finite)
-        size = _tree_size(unfold_next(phi))
-        assert unfolded_size(phi, 10 ** 9) == size, format_formula(phi)
-        assert unfolded_size(phi, 300) == min(size, 300), format_formula(phi)
+        size = printed_size(unfold_next(phi))
+        assert printed_size(phi, "unf", 10 ** 9) == size, format_formula(phi)
+        assert printed_size(phi, "unf", 300) == min(size, 300), format_formula(phi)
     with pytest.raises(ValueError, match="finite intervals"):
-        unfolded_size(parse_formula("p & (p U[1..w) q)"), 10 ** 9)
+        printed_size(parse_formula("p & (p U[1..w) q)"), "unf", 10 ** 9)
+
+
+def test_printed_size_counts_the_one_step_result():
+    # the count that the CLI's node bound reads before eliminating one-step
+    # windows, on random formulas with X, Y, weak X and nesting, finite or
+    # not, and capped
+    rng = random.Random(27)
+    window = lambda r: gen_interval(r, max_lo=4, max_width=6, omega_p=0.3)
+    for _ in range(1500):
+        phi = gen_formula(rng, rng.randint(1, 4), interval=window)
+        size = printed_size(one_step_eliminate(phi))
+        assert printed_size(phi, "onestep", 10 ** 9) == size, format_formula(phi)
+        assert printed_size(phi, "onestep", 60) == min(size, 60), format_formula(phi)
+    for text, size in (("X[0..3) p", 15), ("X[2..5) p", 29), ("Y[1..w) p", 2), ("X[3..w) p", 6),
+                       ("X[0..1) p", 1), ("Y[3..2) p", 1)):
+        assert printed_size(parse_formula(text), "onestep") == size, text
 
 
 def test_unfold_rejects_unbounded_binary_intervals():

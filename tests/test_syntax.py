@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import formulas_st, gen_formula, make_trace, stack_headroom
-from metricht.cli import _tree_size
 from metricht.parser import ParseError, parse_formula, parse_theory
-from metricht.semantics import state_bits
+from metricht.rewrite import printed_size
+from metricht.semantics import Program, state_bits
 from metricht.syntax import (
     And, Atom, BOT, Bottom, FULL, Implies, Interval, Next, Or, Prev, Release,
     Since, Theory, Trigger, TRUE, Until, always, eventually, final, format_formula,
-    historically, initial, interval_endpoints, neg, once, operands, postorder,
+    historically, initial, neg, once, operands, postorder,
     weak_next, weak_prev,
 )
 
@@ -279,7 +279,7 @@ def test_walks_and_printer_take_no_frame_per_level(step, text, size, state_zero)
     trace = make_trace([({"p"}, {"p"}), ((), ())], (0, 2))
     with stack_headroom():
         assert format_formula(phi) == text
-        assert _tree_size(phi) == size
+        assert printed_size(phi) == size
         assert Theory((phi,)).atoms() == ("p",)
-        assert interval_endpoints([phi]) == ([1, 3] if "X" in text else [])
+        assert Program([phi]).endpoints == ([1, 3] if "X" in text else [])
         assert state_bits(trace, (phi,)) == [state_zero]  # compiles, then runs
