@@ -37,6 +37,8 @@ WIDE = "tests/test_cli.py::test_rewrite_refuses_a_result_above_the_node_bound"
 UNFOLDED = "tests/test_rewrite.py::test_unfolded_size_counts_the_printed_expansion"
 STEPPED = "tests/test_rewrite.py::test_printed_size_counts_the_one_step_result"
 NESTED = "tests/test_equilibrium.py::test_table_runs_of_nested_windows_grow_linearly"
+DUAL = "tests/test_rewrite.py::test_bool_dual_examples"
+SWAP = "tests/test_rewrite.py::test_time_swap_examples"
 
 # `bounded_equiv`'s loop over region classes (`stream_models` has one too)
 KEYED, SEARCHED = "for times, key in region_keys(bounds, ", ":\n        if key in searched:"
@@ -91,6 +93,9 @@ CATALOGUE = [
     ("metricht/fom.py", "value & table >> s if kind is Forall else",
      "value & table >> s if kind is Exists else", [FOM]),
     ("metricht/fom.py", "value &= upper[i]", "pass", [FOM]),
+    # `fom.Program`: a binder left in the scope table after its body, so a
+    # variable beyond it reads as bound
+    ("metricht/fom.py", "scopes[phi.var.name].pop()", "pass", [FOM]),
     # `fom.first_smaller_model`: the subset cap checked before the there-world
     ("metricht/fom.py", "if not upper[root]:",
      "if not upper[root] and len(atoms) <= MAX_SUBSET_ATOMS:", [CAP]),
@@ -106,6 +111,9 @@ CATALOGUE = [
     ("metricht/rewrite.py", "2 if type(phi) in (Until, Since) else 9",
      "2 if type(phi) in (Until, Since) else 8", [UNFOLDED]),
     ("metricht/rewrite.py", "parts * (9 + a)", "parts * (8 + a)", [STEPPED]),
+    # `map_children` rebuilding a node as its own class, not the one asked for
+    # (`bool_dual` and `time_swap` pass it)
+    ("metricht/syntax.py", "cls = cls or type(phi)", "cls = type(phi)", [DUAL, SWAP]),
     # region classes: upper bounds dropped from the endpoints; `equiv` keyed on
     # the left theory only
     ("metricht/semantics.py", "for x in detail if x is not None", "for x in detail[:1]",

@@ -227,7 +227,7 @@ def _conjuncts(phi: FOMFormula) -> list[FOMFormula]:
 
 def _and(simplified: Iterable[FOMFormula]) -> FOMFormula:
     """The conjunction of simplified formulas, flattened, so that one pass is a fixpoint."""
-    parts, diffs = [], {}
+    parts, diffs = [], {}  # diffs: per (left, right), the index of its bound in parts
     for part in (c for phi in simplified for c in _conjuncts(phi)):
         if isinstance(part, Bot):
             return BOT
@@ -236,12 +236,10 @@ def _and(simplified: Iterable[FOMFormula]) -> FOMFormula:
         if isinstance(part, Diff):
             key = (part.left, part.right)
             if key in diffs:
-                old = diffs[key]
-                if part.delta < old.delta:
-                    parts[parts.index(old)] = part
-                    diffs[key] = part
+                if part.delta < parts[diffs[key]].delta:
+                    parts[diffs[key]] = part
                 continue
-            diffs[key] = part
+            diffs[key] = len(parts)
         parts.append(part)
     return conj(parts) if parts else TOP
 
@@ -359,21 +357,21 @@ class Program:
     """Formulas compiled into a post-order list of (kind, detail, a, b, free, reads):
     per subformula its class, test, operands, variables and whether it reads a
     predicate; `roots` are the formulas' nodes.  A variable is (1, its binder's
-    depth), so shadowing needs no environment, or (0, name) if free.  Bound to
-    D points, a node with k variables gets D^k bits, the deepest the lowest.  A
-    connective's operand with fewer variables goes through a node of kind None,
-    which widens node a to the variables `free`."""
+    depth), read from one scope table kept for the whole compile, or (0, name) if
+    free.  Bound to D points, a node with k variables gets D^k bits, the deepest
+    the lowest.  A connective's operand with fewer variables goes through a node
+    of kind None, which widens node a to the variables `free`."""
 
     def __init__(self, formulas):
         number, points, done = {}, {}, []  # done: (number, variables, reads) per operand
-        stack = [(phi, {}, 0, False) for phi in reversed(formulas)]
+        scopes = {}  # per variable name, the variables of its binders in scope, innermost last
+        stack = [(phi, 0, False) for phi in reversed(formulas)]
         while stack:  # explicit, so nesting costs no Python frames
-            phi, env, depth, ready = stack.pop()
+            phi, depth, ready = stack.pop()
             kind = type(phi)
             if kind is And or kind is Or or kind is Implies:
                 if not ready:
-                    stack += [(phi, env, depth, True), (phi.rhs, env, depth, False),
-                              (phi.lhs, env, depth, False)]
+                    stack += [(phi, depth, True), (phi.rhs, depth, False), (phi.lhs, depth, False)]
                     continue
                 (b, free_b, reads_b), (a, free_a, reads_a) = done.pop(), done.pop()
                 free = tuple(sorted({*free_a, *free_b}))
@@ -382,16 +380,17 @@ class Program:
                         for c, f, r in ((a, free_a, reads_a), (b, free_b, reads_b))]
                 node = (kind, None, a, b, free, reads_a or reads_b)
             elif kind is Forall or kind is Exists:
-                if not ready:
-                    stack += [(phi, env, depth, True),
-                              (phi.body, {**env, phi.var.name: (1, depth)}, depth + 1, False)]
+                if not ready:  # the body is compiled before this entry is popped again
+                    scopes.setdefault(phi.var.name, []).append((1, depth))
+                    stack += [(phi, depth, True), (phi.body, depth + 1, False)]
                     continue
+                scopes[phi.var.name].pop()
                 if done[-1][1][-1:] != ((1, depth),):
                     continue  # the body does not mention the variable: it stands for itself
                 a, free, reads = done.pop()
                 node = (kind, None, a, 0, free[:-1], reads)
             elif kind is Pred or kind is Diff:  # a term is a time point or a variable
-                left, right = [env.get(t.name, (0, t.name)) if type(t) is Var
+                left, right = [(scopes.get(t.name) or [(0, t.name)])[-1] if type(t) is Var
                                else points.setdefault(t.value, t.value)
                                for t in ((phi.arg,) * 2 if kind is Pred else (phi.left, phi.right))]
                 free = tuple(sorted({t for t in (left, right) if type(t) is tuple}))

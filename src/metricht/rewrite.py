@@ -11,12 +11,12 @@ from __future__ import annotations
 from functools import cache, reduce
 
 from .syntax import (
-    And, Atom, BOT, Bottom, Formula, FULL, Interval, Next, Or, Prev, Release,
+    And, BOT, Bottom, Formula, FULL, Implies, Interval, Next, Or, Prev, Release,
     Since, Trigger, TRUE, Until, WEAK_STEP, always, eventually, KERNEL_BINARY,
     map_children, match_not, match_weak, neg, operands, postorder, weak_next, weak_prev,
 )
 
-_DUAL_BINARY = {Until: Release, Release: Until, Since: Trigger, Trigger: Since}
+_DUAL = {And: Or, Or: And, Until: Release, Release: Until, Since: Trigger, Trigger: Since}
 _SWAP = {Until: Since, Since: Until, Release: Trigger, Trigger: Release,
          Next: Prev, Prev: Next}
 
@@ -33,21 +33,15 @@ def bool_dual(phi: Formula) -> Formula:
         return BOT
     if isinstance(phi, Bottom):
         return TRUE
-    if isinstance(phi, Atom):
-        return phi
     wk = match_weak(phi)
     if wk is not None:
         step, iv, arg = wk
         return step(iv, bool_dual(arg))
-    if isinstance(phi, And):
-        return Or(bool_dual(phi.lhs), bool_dual(phi.rhs))
-    if isinstance(phi, Or):
-        return And(bool_dual(phi.lhs), bool_dual(phi.rhs))
     if isinstance(phi, (Next, Prev)):
         return WEAK_STEP[type(phi)](phi.interval, bool_dual(phi.arg))
-    if isinstance(phi, KERNEL_BINARY):
-        return _DUAL_BINARY[type(phi)](phi.interval, bool_dual(phi.lhs), bool_dual(phi.rhs))
-    raise ValueError("duality is defined only for implication-free formulas")
+    if isinstance(phi, Implies):
+        raise ValueError("duality is defined only for implication-free formulas")
+    return map_children(phi, bool_dual, _DUAL.get(type(phi)))
 
 
 def time_swap(phi: Formula) -> Formula:
@@ -57,18 +51,14 @@ def time_swap(phi: Formula) -> Formula:
     state their rules for X, U and R only and rewrite a past node as
     time_swap(P(time_swap(phi))), which every pass commutes with.
     """
-    if isinstance(phi, (Next, Prev)):
-        return _SWAP[type(phi)](phi.interval, time_swap(phi.arg))
-    if isinstance(phi, KERNEL_BINARY):
-        return _SWAP[type(phi)](phi.interval, time_swap(phi.lhs), time_swap(phi.rhs))
-    return map_children(phi, time_swap)
+    return map_children(phi, time_swap, _SWAP.get(type(phi)))
 
 
 def push_negation(phi: Formula) -> Formula:
     """Rewrite every negated binary temporal operator into its negated dual."""
     inner = match_not(phi)
     if inner is not None and isinstance(inner, KERNEL_BINARY):
-        dual = _DUAL_BINARY[type(inner)]
+        dual = _DUAL[type(inner)]
         return dual(inner.interval, push_negation(neg(inner.lhs)), push_negation(neg(inner.rhs)))
     return map_children(phi, push_negation)
 

@@ -39,13 +39,10 @@ class Interval:
     def is_full(self) -> bool:
         return self.lower == 0 and self.upper is None
 
-    def is_singleton(self) -> bool:
-        return self.upper is not None and self.upper == self.lower + 1
-
     def __str__(self) -> str:
         if self.upper is None:
             return f"[{self.lower}..w)"
-        if self.is_singleton():
+        if self.upper == self.lower + 1:
             return f"[{self.lower}]"
         return f"[{self.lower}..{self.upper})"
 
@@ -250,15 +247,16 @@ def postorder(formulas):
                 yield nodes.pop()
 
 
-def map_children(phi: Formula, fn) -> Formula:
-    """Rebuild phi with fn applied to each direct subformula."""
+def map_children(phi: Formula, fn, cls: type | None = None) -> Formula:
+    """Rebuild phi, as a `cls` node if given, with fn applied to each direct subformula."""
     if isinstance(phi, (Atom, Bottom)):
         return phi
+    cls = cls or type(phi)
     if isinstance(phi, (And, Or, Implies)):
-        return type(phi)(fn(phi.lhs), fn(phi.rhs))
+        return cls(fn(phi.lhs), fn(phi.rhs))
     if isinstance(phi, (Next, Prev)):
-        return type(phi)(phi.interval, fn(phi.arg))
-    return type(phi)(phi.interval, fn(phi.lhs), fn(phi.rhs))
+        return cls(phi.interval, fn(phi.arg))
+    return cls(phi.interval, fn(phi.lhs), fn(phi.rhs))
 
 
 # --------------------------------------------------------------------------

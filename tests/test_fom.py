@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import (
-    gen_formula, gen_interval, gen_trace, is_qel_model, make_trace, stack_headroom, total_part,
+    gen_formula, gen_interval, gen_trace, is_qel_model, make_trace, stack_headroom, time_limit,
+    total_part,
 )
 from metricht import fom
 from metricht.fom import (
@@ -166,6 +168,24 @@ def test_qht_takes_no_frame_per_level():
     with stack_headroom():
         assert qht_sat(interp, deep) and qht_sat(interp, wide)
         assert first_smaller_model(interp.domain, interp.there, wide) == frozenset([("p", 0)])
+
+
+def test_nested_binders_over_distinct_names_compile_in_linear_memory():
+    # ?v0 !v1 ?v2 ... (p(v0) -> q(v5999)): one scope table for the whole compile,
+    # not an environment per binder, whose copies grow with the square of the depth
+    deep = Implies(Pred("p", Var("v0")), Pred("q", Var("v5999")))
+    for i in reversed(range(6_000)):
+        deep = (Forall if i % 2 else Exists)(Var(f"v{i}"), deep)
+    interp = QHTInterpretation((0, 1), frozenset([("p", 0)]), frozenset([("p", 0), ("q", 1)]))
+    tracemalloc.start()
+    try:
+        with time_limit(20, "qht of 6,000 nested binders"):
+            assert qht_sat(interp, deep)
+            assert first_smaller_model(interp.domain, interp.there, deep) == frozenset()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak
 
 
 # Every connective and quantifier, shadowed names, subformulas with 0-3 free
