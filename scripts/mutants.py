@@ -28,8 +28,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SPARSE = "tests/test_semantics.py::test_sparse_line_matches_oracle_in_both_worlds"
 POSITIONS = "tests/test_semantics.py::test_position_run_matches_oracle_in_both_worlds"
 TABLES = "tests/test_semantics.py::test_table_runs_of_chains_and_shared_nodes_match_oracle"
+EXHAUSTIVE = "tests/test_semantics.py::test_tables_match_oracle_exhaustively"
 EQUIV = "tests/test_equilibrium.py::test_bit_parallel_equiv_matches_the_plain_search"
 REGIONS = "tests/test_equilibrium.py::test_region_classes_match_the_plain_search"
+VERDICTS = "tests/test_equilibrium.py::test_region_classes_keep_every_verdict_of_their_first_member"
+STREAMS = "tests/test_cli.py::test_models_streams_what_the_list_api_returns"
 FOM = "tests/test_fom.py::test_fom_tables_match_oracle_exhaustively"
 CAP = "tests/test_cli.py::test_qht_equilibrium_names_a_failed_there_world_before_the_subset_cap"
 STRICT = "tests/test_cli.py::test_strict_searches_stop_at_the_longest_strict_length"
@@ -84,7 +87,7 @@ CATALOGUE = [
     # an X/Y window that holds its upper bound, in `_gaps` and in `chunk`; the
     # U/R/S/T window of `chunk` without its farthest state, or without its nearest
     ("metricht/semantics.py", "d < hi", "d <= hi", [POSITIONS]),
-    ("metricht/semantics.py", "d < upper", "d <= upper", [EQUIV]),
+    ("metricht/semantics.py", "d < upper", "d <= upper", [EXHAUSTIVE]),
     ("metricht/semantics.py", "if upper is not None and d >= upper:",
      "if upper is not None and d >= upper - 1:", [EQUIV]),
     ("metricht/semantics.py", "if d >= lower:", "if d > lower:", [EQUIV]),
@@ -118,8 +121,20 @@ CATALOGUE = [
     # the left theory only
     ("metricht/semantics.py", "for x in detail if x is not None", "for x in detail[:1]",
      [REGIONS]),
-    ("metricht/equilibrium.py", KEYED + "program.endpoints)" + SEARCHED,
-     KEYED + "Program(left.formulas).endpoints)" + SEARCHED, [REGIONS]),
+    ("metricht/equilibrium.py", KEYED + "program)" + SEARCHED,
+     KEYED + "Program(left.formulas))" + SEARCHED, [REGIONS]),
+    # `pair_tables`: Y tested on the pair after its state; S/T or U/R operands
+    # sent only to the node's own states; a window's upper bound held
+    ("metricht/semantics.py", "side, reach, here = 0, here >> 1, here >> 1",
+     "side, reach, here = 0, here >> 1, here", [VERDICTS]),
+    ("metricht/semantics.py", "side, reach = 2, (1 << here.bit_length()) - 1",
+     "side, reach = 2, here", [VERDICTS]),
+    ("metricht/semantics.py", "side, reach = 1, full & -(here & -here)", "side, reach = 1, here",
+     [VERDICTS]),
+    ("metricht/semantics.py", "rep < hi", "rep <= hi", [VERDICTS]),
+    # `models` printing only once the whole search is done
+    ("metricht/cli.py", "enumerate(stream_models(theory, bounds, args.equilibrium), start=1)",
+     "enumerate(list(stream_models(theory, bounds, args.equilibrium)), start=1)", [STREAMS]),
 ]
 
 

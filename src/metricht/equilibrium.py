@@ -5,8 +5,9 @@ here-component still satisfies the theory.  Both the model search and the
 equivalence check are exhaustive over a finite bounded trace space, so a
 negative answer is definitive while a positive one holds within the bounds.
 Each search compiles one `semantics.Program` and binds it to one time map per
-region class; the refinement scan and the equivalence check run it on a whole
-chunk of traces at once (`semantics.first_trace`).
+region class, the time maps alike on every window test reached from state 0
+(`traces.region_keys`); the refinement scan and the equivalence check run it
+on a whole chunk of traces at once (`semantics.first_trace`).
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def stream_models(theory: Theory, bounds: EnumerationBounds,
     to run every state sequence; later members replay the accepted ones."""
     found: dict[tuple, list] = {}
     program = Program(theory.formulas)
-    for times, key in region_keys(bounds, program.endpoints):
+    for times, key in region_keys(bounds, program):
         if key in found:
             yield from (TimedHTTrace(states, states, times) for states in found[key])
             continue
@@ -106,7 +107,7 @@ def bounded_equiv(left: Theory, right: Theory, bounds: EnumerationBounds) -> Equ
     searched, split = set(), len(left.formulas)
     program = Program(left.formulas + right.formulas)
     lhs, rhs = program.roots[:split], program.roots[split:]
-    for times, key in region_keys(bounds, program.endpoints):
+    for times, key in region_keys(bounds, program):
         if key in searched:
             continue
         searched.add(key)

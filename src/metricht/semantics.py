@@ -37,7 +37,7 @@ class Program:
     `nodes` holds (kind, detail, lhs, rhs) per subformula: the formula class,
     the atom name or window (lower, upper) and the operands' node numbers;
     `roots` holds each formula's node; `endpoints` the sorted finite window
-    bounds, which cap the gaps (`at`) and key the region classes.
+    bounds, which cap the gaps (`at`) and rank the differences `pair_tables` reads.
     `chunk_nodes` adds what only `chunk` reads: for & and |, whether the lhs
     is a & or | too (as detail), and whether the node is no leaf and used
     more than once (by other nodes or as a root), or a U/R/S/T below two
@@ -84,6 +84,37 @@ class Program:
         timed.tau, timed.full, timed.pos, timed._masks = tau, (1 << len(tau)) - 1, None, {}
         timed._atoms = None  # see `_run`: a search runs many traces through one binding
         return timed
+
+    def pair_tables(self, length: int) -> list[list[int]]:
+        """Per state pair (i, j), i < j, by j then i: a table from the rank of tau[j] - tau[i]
+        among `endpoints` (`bisect_right`) to the bits of the windows tested on the pair that
+        hold there.  From state 0 of the roots, X at state k tests (k, k + 1), Y (k - 1, k),
+        U/R (k, j) for every j > k and S/T (j, k) for every j < k, and U/R (S/T) may evaluate
+        their operands at every later (earlier) state."""
+        full, at, tested = (1 << length) - 1, [0] * len(self.nodes), {}
+        for root in self.roots:
+            at[root] = 1  # bit k: the node may be evaluated at state k
+        for node in reversed(range(len(self.nodes))):  # parents first
+            (kind, window, a, b), here = self.nodes[node], at[node]
+            if kind is Next:
+                side, reach = 0, here << 1 & full
+            elif kind is Prev:
+                side, reach, here = 0, here >> 1, here >> 1
+            elif kind is Until or kind is Release:
+                side, reach = 1, full & -(here & -here)
+            elif kind is Since or kind is Trigger:
+                side, reach = 2, (1 << here.bit_length()) - 1
+            else:  # &, | and ->; an atom's or #false's operands are node 0, a leaf
+                side, reach = None, here
+            at[a] |= reach
+            at[b] |= reach  # X and Y: node 0
+            if side is not None:  # the k of X/Y's (k, k + 1), U/R's (k, j > k), S/T's (j < k, k)
+                tested.setdefault(window, [0, 0, 0])[side] |= here
+        ranked = [-1, *self.endpoints]  # a difference of each rank
+        return [[sum(1 << w for w, ((lo, hi), (step, ahead, behind)) in enumerate(tested.items())
+                     if (j == i + 1 and step >> i & 1 or ahead >> i & 1 or behind >> j & 1)
+                     and lo <= rep and (hi is None or rep < hi)) for rep in ranked]
+                for j in range(length) for i in range(j)]
 
     def position(self, k: int) -> int:
         """The bit of state k in the ints that `bits` yields."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
-from operator import le
+from operator import getitem, le
 from typing import Iterable, Iterator
 
 from .parser import ATOM_RE
@@ -116,19 +116,21 @@ def _time_maps(length: int, max_time: int, strict: bool) -> Iterator[tuple[int, 
     return ((0,) + rest for rest in later)
 
 
-def region_keys(bounds: EnumerationBounds, endpoints) -> Iterator[tuple[tuple[int, ...], tuple]]:
+def region_keys(bounds: EnumerationBounds, program) -> Iterator[tuple[tuple[int, ...], tuple]]:
     """Each time map within bounds, in enumeration order, with its region key.
 
-    The key places every difference tau[j] - tau[k] (k < j) among a theory's
-    sorted interval endpoints (`semantics.Program.endpoints`).  Satisfaction
-    reads time only through interval.contains(tau[j] - tau[k]), so maps with
-    equal keys (one region class, as in Alur and Dill's timed automata) give
-    the same verdict for every state sequence.
+    Satisfaction at state 0 reads time only through tests of tau[j] - tau[i]
+    (i < j) against the windows of the operators that reach the pair (i, j)
+    from state 0.  The key holds which of them hold, pair by pair
+    (`semantics.Program.pair_tables`), so maps with equal keys (one region
+    class) give the same verdict for every state sequence.
     """
+    endpoints = program.endpoints
     for length in bounds.lengths():
+        tables = program.pair_tables(length)
         for times in _time_maps(length, bounds.max_time, bounds.strict_only):
-            yield times, tuple(bisect_right(endpoints, t - s)
-                               for j, t in enumerate(times) for s in times[:j])
+            ranks = [bisect_right(endpoints, t - s) for j, t in enumerate(times) for s in times[:j]]
+            yield times, tuple(map(getitem, tables, ranks))
 
 
 def state_sequences(alphabet: tuple[str, ...], length: int) -> Iterator[tuple]:

@@ -139,9 +139,9 @@ def listed(theory: str, max_len: int, max_time: int, exact: bool, equilibrium: b
 
 
 @pytest.mark.parametrize("flags,max_len,max_time,count", [
-    (["--exact-len", "--equilibrium"], 3, 12, 7),
-    (["--exact-len"], 3, 12, 56),
-    (["--exact-len", "--equilibrium", "--non-strict"], 3, 12, 7),
+    (["--exact-len", "--equilibrium"], 3, 20, 14),
+    (["--exact-len"], 3, 20, 102),
+    (["--exact-len", "--equilibrium", "--non-strict"], 3, 20, 14),
     ([], 2, 6, 0),
 ], ids=["equilibrium", "plain", "non-strict", "no-models"])
 def test_models_streams_what_the_list_api_returns(monkeypatch, traffic, flags, max_len,

@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from bisect import bisect_right
 from dataclasses import replace
 from itertools import chain, islice
 
@@ -262,10 +263,66 @@ def test_region_classes_match_the_plain_search(strict):
         # the reordered copy is equivalent, so that comparison scans the whole space
         for other in (right, Theory(left.formulas[::-1])):
             assert bounded_equiv(left, other, bounds) == _plain_equiv(left, other, bounds)
-        endpoints = Program(left.formulas + right.formulas).endpoints
-        keys = [key for _, key in region_keys(bounds, endpoints)]
+        program = Program(left.formulas + right.formulas)
+        keys = [key for _, key in region_keys(bounds, program)]
         merged += len(set(keys)) < len(keys)
     assert merged
+
+
+def _clock_region(times, endpoints):
+    """Alur and Dill's key: the rank of every difference among every endpoint."""
+    return tuple(bisect_right(endpoints, t - s) for j, t in enumerate(times) for s in times[:j])
+
+
+def _region_classes_keep_their_verdicts(formulas, bounds) -> int:
+    """Checks that every member of a region class gives each formula at state 0
+    the first member's verdict in both worlds on every HT trace (`oracle.sat`),
+    and that each clock region lies inside one class; returns the classes."""
+    import oracle
+    program, first, within, seen = Program(formulas), {}, {}, {}
+    traces = [(here, there, len(times)) for here, there, times
+              in oracle.bounded_space(bounds.alphabet, bounds.max_len, 0, strict=False)]
+
+    def verdicts(times):
+        if times not in seen:
+            seen[times] = [oracle.sat(here, there, times, 0, phi, world)
+                           for here, there, length in traces if length == len(times)
+                           for phi in formulas for world in "ht"]
+        return seen[times]
+
+    for times, key in region_keys(bounds, program):
+        assert within.setdefault(_clock_region(times, program.endpoints), key) == key, times
+        assert verdicts(times) == verdicts(first.setdefault(key, times)), (times, first[key])
+    return len(first)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_region_classes_keep_every_verdict_of_their_first_member(strict):
+    # each window tested only on the pairs its operator reaches from state 0:
+    # Y only at state 1, S/T and U/R below an X, and their operands anchored
+    # away from the outer state (non-strict, (0, 2, 2) and (0, 1, 3) tell a
+    # wrong pair or anchoring apart)
+    bounds = EnumerationBounds(("p", "q"), 4, 4, strict_only=strict)
+    rng = random.Random(53 if strict else 54)
+    with time_limit(20, "region classes against the oracle"):
+        for text in ("X[1..4) Y[2..3) p", "X[1..3) (p S[1..3) X[2..3) q)",
+                     "X[1..3) (p U[1..3) Y[1..2) q)"):
+            assert _region_classes_keep_their_verdicts(parse_theory(text).formulas, bounds) > 1
+        bounds = replace(bounds, max_len=3, max_time=3)
+        for _ in range(30):
+            formulas = tuple(gen_formula(rng, rng.randint(1, 4)) for _ in range(rng.randint(1, 2)))
+            _region_classes_keep_their_verdicts(formulas, bounds)
+
+
+def test_region_classes_of_the_traffic_theory():
+    # X[5] push is tested only on (0, 1), and F[1..15) G[0..30] split no pair
+    # its rules leave alone: far fewer classes than clock regions
+    program = Program(WITH_PUSH.formulas)
+    for length, max_time, classes, regions in ((3, 12, 2, 11), (3, 20, 7, 20), (5, 12, 2, 93)):
+        bounds = EnumerationBounds(TRAFFIC_ATOMS, length, max_time, exact_len=True)
+        pairs = list(region_keys(bounds, program))
+        assert len({key for _, key in pairs}) == classes
+        assert len({_clock_region(times, program.endpoints) for times, _ in pairs}) == regions
 
 
 def test_searches_on_sparse_time_match_the_oracle_and_the_plain_search(monkeypatch):
@@ -278,7 +335,7 @@ def test_searches_on_sparse_time_match_the_oracle_and_the_plain_search(monkeypat
     theory = parse_theory("G (p -> F[1..40) q)\nG (q -> O[20..40] p)\n")
     bounds = EnumerationBounds(("p", "q"), 3, 100, exact_len=True)
     firsts = {}
-    for times, key in region_keys(bounds, Program(theory.formulas).endpoints):
+    for times, key in region_keys(bounds, Program(theory.formulas)):
         firsts.setdefault(key, times)
     program = Program(theory.formulas)
     sparse = [t for t in firsts.values() if program.at(t).position(2) == 2 < t[-1]]
@@ -296,7 +353,7 @@ def test_searches_on_sparse_time_match_the_oracle_and_the_plain_search(monkeypat
     found = [bounded_equiv(theory, other, bounds)
              for other in (Theory(theory.formulas[::-1]), open_end)]
     monkeypatch.setattr(metricht.equilibrium, "region_keys",
-                        lambda b, f: ((times, times) for times, _ in region_keys(b, f)))
+                        lambda b, p: ((times, times) for times, _ in region_keys(b, p)))
     assert found == [bounded_equiv(theory, other, bounds)
                      for other in (Theory(theory.formulas[::-1]), open_end)]
     trace, index, side = found[1].counterexample
@@ -448,7 +505,7 @@ def test_searches_compile_one_program_per_region_class(monkeypatch):
 
     def first_maps(bounds, formulas):  # class key -> its first time map, in search order
         first = {}
-        for times, key in region_keys(bounds, Program(formulas).endpoints):
+        for times, key in region_keys(bounds, Program(formulas)):
             first.setdefault(key, times)
         return first
 
@@ -465,7 +522,7 @@ def test_searches_compile_one_program_per_region_class(monkeypatch):
         verdict = bounded_equiv(left, right, bounds)
         searched = classes
         if not verdict.equivalent:  # the search stops at the counterexample's class
-            key = next(key for times, key in region_keys(bounds, Program(both).endpoints)
+            key = next(key for times, key in region_keys(bounds, Program(both))
                        if times == verdict.counterexample[0].times)
             searched = classes[:classes.index(key) + 1]
             assert len(searched) > 1
