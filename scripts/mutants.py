@@ -42,6 +42,7 @@ STEPPED = "tests/test_rewrite.py::test_printed_size_counts_the_one_step_result"
 NESTED = "tests/test_equilibrium.py::test_table_runs_of_nested_windows_grow_linearly"
 DUAL = "tests/test_rewrite.py::test_bool_dual_examples"
 SWAP = "tests/test_rewrite.py::test_time_swap_examples"
+NARROW = "tests/test_equilibrium.py::test_equiv_and_refinement_scan_on_narrow_chunks"
 
 # `bounded_equiv`'s loop over region classes (`stream_models` has one too)
 KEYED, SEARCHED = "for times, key in region_keys(bounds, ", ":\n        if key in searched:"
@@ -72,7 +73,7 @@ CATALOGUE = [
     # a here-world -> without the there-world's value of its node, in `_run` and
     # in `chunk`
     ("metricht/semantics.py", "value &= upper[len(out)]", "pass", [POSITIONS]),
-    ("metricht/semantics.py", "if out and here is not there:", "if False:", [EQUIV]),
+    ("metricht/semantics.py", "if out and here is not there:", "if False:", [TABLES]),
     # `chunk`: a shared node's memo without the world, or without the state; a |
     # that skips its rhs when its lhs is false instead of all true; a spine of &
     # and | read as all &
@@ -132,6 +133,25 @@ CATALOGUE = [
     ("metricht/semantics.py", "side, reach = 1, full & -(here & -here)", "side, reach = 1, here",
      [VERDICTS]),
     ("metricht/semantics.py", "rep < hi", "rep <= hi", [VERDICTS]),
+    # `chunk` on HT lanes: ~a read in the here-world, for an atom in place and for
+    # any other a; the lhs of every U/S dropped, not only F/O's #true
+    ("metricht/semantics.py", "cells = there.get(detail)", "cells = here.get(detail)", [TABLES]),
+    ("metricht/semantics.py", "return full ^ self.chunk(a, k, there, there, full, memo)",
+     "return full ^ self.chunk(a, k, here, there, full, memo)", [EQUIV]),
+    ("metricht/semantics.py",
+     "elif kind in KERNEL_BINARY and truth.get(a) is (kind is Until or kind is Since):",
+     "elif kind is Until or kind is Since:", [EQUIV]),
+    # the lane layout and the first trace: a there-cell that holds on digit 0
+    # too; here-cells narrowed before there-cells; an outer there-pattern that
+    # stops at its first hit, whatever the hit's inner there-pattern
+    ("metricht/semantics.py", "for v in (radix - 2, radix - 1)", "for v in (0, radix - 1)",
+     [EQUIV]),
+    ("metricht/semantics.py", "for side in (0, 1):", "for side in (1, 0):", [NARROW]),
+    ("metricht/semantics.py", "if inner == [upper & 1 for upper, _ in masks]:", "if True:",
+     [NARROW]),
+    # region keys: a difference equal to an endpoint read at the rank below it
+    ("metricht/traces.py", "bisect_right(endpoints, d)", "bisect_right(endpoints, d - 1)",
+     [VERDICTS]),
     # `models` printing only once the whole search is done
     ("metricht/cli.py", "enumerate(stream_models(theory, bounds, args.equilibrium), start=1)",
      "enumerate(list(stream_models(theory, bounds, args.equilibrium)), start=1)", [STREAMS]),

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from itertools import accumulate, repeat
+from math import log2
 from operator import getitem, lshift, rshift, sub
 from typing import Iterator
 
@@ -26,7 +27,7 @@ from .syntax import (
 )
 from .traces import TimedHTTrace
 
-WIDTH = 16  # a table spans at most 2**WIDTH traces (8 KB); higher index bits are enumerated
+WIDTH = 16  # a table spans at most 2**WIDTH traces (8 KB); higher index digits are enumerated
 DENSITY = 16  # time positions per state at most; sparser time keeps state indices
 first_bit = (1).__and__  # a formula's bits -> 1 when it holds at state 0; no Python frame per call
 
@@ -39,13 +40,17 @@ class Program:
     `roots` holds each formula's node; `endpoints` the sorted finite window
     bounds, which cap the gaps (`at`) and rank the differences `pair_tables` reads.
     `chunk_nodes` adds what only `chunk` reads: for & and |, whether the lhs
-    is a & or | too (as detail), and whether the node is no leaf and used
-    more than once (by other nodes or as a root), or a U/R/S/T below two
-    others (node 0, a leaf, fills in for a missing operand).  A program
-    bound by `at(tau)` runs traces (`bits`), placing the states on a line of
-    time positions on first use.  Both runs follow one world rule: the
-    there-world is evaluated first, and a here-world implication also needs
-    the there-world's value of its node."""
+    is a & or | too (as detail); a negation ~a as kind `neg`, with a's name
+    when a is an atom; #false and #true (#false -> #false) as Bottom with
+    their truth; None for the lhs of F/O (#true) and G/H (#false), which
+    never stops the scan; and whether the node is no leaf and used more than
+    once (by other nodes or as a root), or a U/R/S/T below two others (node
+    0, a leaf, fills in for a missing operand).  `cells` keeps the last
+    chunk `ht_tables` built, by (alphabet, there, length, outer digits).  A
+    program bound by `at(tau)` runs traces (`bits`), placing the states on a
+    line of time positions on first use.  Both runs follow one world rule:
+    the there-world is evaluated first, and a here-world implication also
+    needs the there-world's value of its node."""
 
     def __init__(self, formulas):
         number, seen = {}, {}  # node -> its number in post-order; id(subformula) -> number
@@ -64,6 +69,7 @@ class Program:
         self.endpoints = sorted({x for _, detail, _, _ in self.nodes if type(detail) is tuple
                                  for x in detail if x is not None})
         self.chunk_nodes = []  # shared by the bindings, filled by the first `ht_tables`
+        self.cells = [None, None]  # the key and cells of the last chunk, shared by the bindings
 
     def at(self, tau: tuple[int, ...]) -> Program:
         """This program bound to one time map: the same nodes and roots, its own masks.
@@ -80,7 +86,7 @@ class Program:
         so it takes p_k = k on its window line."""
         timed = object.__new__(Program)  # not compiled again
         timed.nodes, timed.roots, timed.endpoints = self.nodes, self.roots, self.endpoints
-        timed.chunk_nodes = self.chunk_nodes
+        timed.chunk_nodes, timed.cells = self.chunk_nodes, self.cells
         timed.tau, timed.full, timed.pos, timed._masks = tau, (1 << len(tau)) - 1, None, {}
         timed._atoms = None  # see `_run`: a search runs many traces through one binding
         return timed
@@ -207,8 +213,9 @@ class Program:
 
         here/there map each atom to its per-state cell masks (`ht_tables`); an
         atom without cells is false everywhere.  ``here is there`` marks the
-        there-world.  `memo` keeps a marked node's bits by (node, k, world) for
-        the chunk, so a node with many paths to it, or a window asked at k by
+        there-world; every lane is an HT trace, so ~a is read in the there-world
+        alone.  `memo` keeps a marked node's bits by (node, k, world) for the
+        chunk, so a node with many paths to it, or a window asked at k by
         many windows of an outer one, is evaluated once, `fresh`."""
         kind, detail, a, b, shared = self.chunk_nodes[node]
         if shared and not fresh:
@@ -219,6 +226,11 @@ class Program:
         if kind is Atom:
             cells = here.get(detail)
             return cells[k] if cells else 0
+        if kind is neg:  # a negated atom reads its there-cell in place
+            if detail is None:
+                return full ^ self.chunk(a, k, there, there, full, memo)
+            cells = there.get(detail)
+            return full ^ cells[k] if cells else full
         if kind is And or kind is Or:
             spine = []  # a left spine of & and | (`detail`), walked in a loop, not a frame each
             while detail:
@@ -235,12 +247,12 @@ class Program:
                 kind, b = spine.pop()
         if kind is Implies:
             out = self.chunk(a, k, here, there, full, memo)
-            out = full ^ (out & ~self.chunk(b, k, here, there, full, memo))
+            out = full ^ out | self.chunk(b, k, here, there, full, memo)
             if out and here is not there:
                 out &= self.chunk(node, k, there, there, full, memo)
             return out
-        if kind is Bottom:
-            return 0
+        if kind is Bottom:  # #false, or #true as `detail`
+            return full if detail else 0
         (lower, upper), tau = detail, self.tau
         if kind is Next or kind is Prev:
             j = k + 1 if kind is Next else k - 1
@@ -254,10 +266,9 @@ class Program:
             if upper is not None and d >= upper:
                 break
             if d >= lower:
-                rhs = self.chunk(b, j, here, there, full, memo) ^ flip
-                out |= pending & rhs
-                pending &= ~rhs
-            if pending:
+                hit = pending & (self.chunk(b, j, here, there, full, memo) ^ flip)
+                out, pending = out | hit, pending ^ hit
+            if pending and a is not None:
                 pending &= self.chunk(a, j, here, there, full, memo) ^ flip
             if not pending:
                 break
@@ -376,40 +387,63 @@ def mht_sat(trace: TimedHTTrace, k: int, phi: Formula) -> bool:
 
 
 @cache
-def _bit_masks(width: int) -> tuple[int, ...]:
-    """Mask b has bit i set exactly when bit b of i is set, for every i < 2**width."""
-    masks: tuple[int, ...] = ()
-    for b in range(width):  # double the span of the masks so far, add the top one
-        span = 1 << b
-        masks = tuple(mask | mask << span for mask in masks) + (((1 << span) - 1) << span,)
-    return masks
+def _digit_masks(radix: int, width: int) -> tuple[tuple[int, int], ...]:
+    """Per digit d < width of the lanes i < radix**width (digit d of i in base
+    radix): the lanes where it is at least radix - 2 (its cell holds in the
+    there-world) and where it is radix - 1 (in the here-world), each one
+    period of radix**(d + 1) lanes times a repunit."""
+    lanes, masks = radix ** width, []
+    for d in range(width):
+        step = radix ** d  # lanes per value of the digit
+        end = 1 << radix * step  # just past one period
+        repunit = ((1 << lanes) - 1) // (end - 1)
+        masks.append(tuple((end - (1 << v * step)) * repunit for v in (radix - 2, radix - 1)))
+    return tuple(masks)
 
 
 def _layout(alphabet: tuple[str, ...], there: tuple[frozenset[str], ...] | None,
-            lam: int) -> tuple[list[tuple[str, ...]], list[int], int]:
-    """Per here-state, the atoms it owns a bit for and the offset of the lowest;
-    and the number of here-bits.  The later states own the lower bits."""
+            lam: int) -> tuple[list[tuple[str, ...]], list[int], int, int, int]:
+    """Per here-state, the atoms it owns a digit for and the position of the
+    lowest (the later states own the lower digits); the radix, the number of
+    digits and the width of a chunk, the most low digits with radix**width at
+    most 2**WIDTH lanes."""
     atoms = [alphabet] * lam if there is None else [tuple(sorted(state)) for state in there]
-    offsets, bits = [0] * lam, 0
+    offsets, digits = [0] * lam, 0
     for k in reversed(range(lam)):
-        offsets[k], bits = bits, bits + len(atoms[k])
-    return atoms, offsets, bits
+        offsets[k], digits = digits, digits + len(atoms[k])
+    radix = 3 if there is None else 2
+    width = min(digits, int(WIDTH / log2(radix)))
+    return atoms, offsets, radix, digits, width
+
+
+def _cells(alphabet: tuple[str, ...], there, lam: int, high: int, low: int) -> tuple:
+    """Per world, each atom's cells per state on the chunk whose outer digits have
+    the there-pattern `high` and the here-pattern `low`; and the mask of its lanes."""
+    atoms, offsets, radix, digits, width = _layout(alphabet, there, lam)
+    full = (1 << radix ** width) - 1
+    masks = _digit_masks(radix, width) + tuple(
+        (full if high >> j & 1 else 0, full if low >> j & 1 else 0) for j in range(digits - width))
+    here, upper = {a: [0] * lam for a in alphabet}, {a: [0] * lam for a in alphabet}
+    for k, (state, offset) in enumerate(zip(atoms, offsets)):
+        for i, a in enumerate(state):
+            upper[a][k], here[a][k] = masks[offset + i]
+    return here, upper, full
 
 
 def ht_tables(program: Program, alphabet: tuple[str, ...],
               there: tuple[frozenset[str], ...] | None = None) -> Iterator[tuple]:
-    """The HT traces with the program's time map, in chunks of at most 2**WIDTH, ascending.
+    """The HT traces with the program's time map, in chunks of lanes, in search order.
 
-    Here-state k owns a bit per atom of the alphabet or, when `there` fixes the
-    there-states (the alphabet holding their atoms), per atom of there[k];
-    atom i of state k is index bit i plus the bits owned by the states after
-    k.  Free there-cells sit above all here-bits in the same layout.
-    Ascending index order is then enumeration order: each there-sequence as
-    in `state_sequences`, and within it the here-sequences as in
-    `refinements`.  Yields (first index, valid, cells) per chunk: bit i of
-    valid is set when here is included in there at index first + i, and
-    `program.chunk(node, k, *cells)` evaluates a node on the chunk (cells
-    ends with the chunk's memo).
+    Here-state k owns a digit per atom of the alphabet or, when `there` fixes
+    the there-states (the alphabet holding their atoms), per atom of there[k];
+    atom i of state k is digit i plus the digits of the states after k.  With
+    `there` free a digit is ternary (0 absent, 1 there only, 2 here and
+    there), so every lane is an HT trace; with `there` fixed it is the
+    here-bit.  A chunk spans the lowest `width` digits, and the chunks come by
+    their outer there-pattern, then their outer here-pattern, each read as a
+    binary number.  Yields (first index, outer there-pattern, cells) per
+    chunk: `program.chunk(node, k, *cells)` evaluates a node on it, and
+    cells[2] has a bit per lane (cells ends with the chunk's memo).
     """
     nodes, lam = program.nodes, len(program.tau)
     if not program.chunk_nodes:  # once per compiled program: its bindings share the list
@@ -419,65 +453,87 @@ def ht_tables(program: Program, alphabet: tuple[str, ...],
             kind, _, a, b = nodes[i]
             inner = min(deep[i] + (kind in KERNEL_BINARY), 2)
             deep[a], deep[b] = max(deep[a], inner), max(deep[b], inner)
-        program.chunk_nodes += [
-            (kind, nodes[a][0] in (And, Or) if kind is And or kind is Or else detail, a, b,
-             uses[i] > 1 and kind is not Atom and kind is not Bottom
-             or deep[i] > 1 and kind in KERNEL_BINARY)
-            for i, (kind, detail, a, b) in enumerate(nodes)]
-    atoms, offsets, here_bits = _layout(alphabet, there, lam)
-    bits = here_bits * (2 if there is None else 1)
-    width = min(bits, WIDTH)
-    full = (1 << (1 << width)) - 1
-    masks = _bit_masks(width)
-
-    def world(cells: tuple[int, ...], base: int) -> dict[str, list[int]]:
-        out = {a: [0] * lam for a in alphabet}
-        for k, (state, offset) in enumerate(zip(atoms, offsets)):
-            for i, a in enumerate(state):
-                out[a][k] = cells[base + offset + i]
-        return out
-
-    for chunk in range(1 << (bits - width)):
-        cells = masks + tuple(full if chunk >> b & 1 else 0 for b in range(bits - width))
-        here, valid = world(cells, 0), full
-        if there is None:
-            upper = world(cells, here_bits)
-            for a in alphabet:
-                for h, t in zip(here[a], upper[a]):
-                    valid &= ~(h & ~t)
-        else:  # every index is a refinement of there
-            upper = {a: [full if a in state else 0 for state in there] for a in alphabet}
-        yield chunk << width, valid, (here, upper, full, {})
+        truth = {}  # #false and #true by node
+        for i, (kind, detail, a, b) in enumerate(nodes):
+            if kind is Bottom:
+                truth[i] = False
+            elif kind is Implies and truth.get(b) is False:  # ~a: HT decides it in the there-world
+                if a in truth:  # ~#false or ~#true: a constant
+                    kind, detail = Bottom, not truth[a]
+                    truth[i] = detail
+                else:
+                    kind, detail = neg, nodes[a][1] if nodes[a][0] is Atom else None
+            elif kind is And or kind is Or:
+                detail = nodes[a][0] in (And, Or)
+            elif kind in KERNEL_BINARY and truth.get(a) is (kind is Until or kind is Since):
+                a = None  # F/O's #true, G/H's #false
+            leaf = kind is Bottom or type(detail) is str  # an atom, a negated atom, a constant
+            program.chunk_nodes.append((kind, detail, a, b, uses[i] > 1 and not leaf
+                                        or deep[i] > 1 and kind in KERNEL_BINARY))
+    _, _, radix, digits, width = _layout(alphabet, there, lam)
+    outer, lanes = digits - width, radix ** width
+    for high in range(0 if there is None else (1 << outer) - 1, 1 << outer):
+        low = 0
+        while True:  # the subsets of high, ascending; outer digit j is (radix - 2) high_j + low_j
+            first = ((radix - 2) * int(f"{high:b}", radix) + int(f"{low:b}", radix)) * lanes
+            key = alphabet, there, lam, high, low
+            if program.cells[0] != key:  # every region class of a one-chunk length reuses them
+                program.cells[:] = key, _cells(*key)
+            yield first, high, program.cells[1] + ({},)
+            if low == high:
+                break
+            low = low - high & high
 
 
 def ht_trace(index: int, alphabet: tuple[str, ...], tau: tuple[int, ...],
              there: tuple[frozenset[str], ...] | None = None) -> TimedHTTrace:
-    """The trace at this index of the `ht_tables` layout."""
-    atoms, offsets, here_bits = _layout(alphabet, there, len(tau))
+    """The trace at this lane index of the `ht_tables` layout."""
+    atoms, offsets, radix, _, _ = _layout(alphabet, there, len(tau))
 
-    def states(bits: int) -> tuple[frozenset[str], ...]:
-        return tuple(frozenset(a for i, a in enumerate(state) if bits >> offset + i & 1)
+    def states(least: int) -> tuple[frozenset[str], ...]:  # the atoms of digit >= least
+        return tuple(frozenset(a for i, a in enumerate(state)
+                               if index // radix ** (offset + i) % radix >= least)
                      for state, offset in zip(atoms, offsets))
 
-    return TimedHTTrace(states(index), there if there is not None
-                        else states(index >> here_bits), tau)
+    return TimedHTTrace(states(radix - 1), there if there is not None else states(1), tau)
 
 
 def first_trace(program: Program, alphabet: tuple[str, ...], select,
                 there: tuple[frozenset[str], ...] | None = None) -> TimedHTTrace | None:
-    """The `ht_tables` trace of lowest index whose bit select(sat) sets, if any;
-    sat(roots) has the bits of a chunk's valid traces where those roots hold at state 0."""
-    for base, valid, cells in ht_tables(program, alphabet, there):
+    """The first `ht_tables` trace in search order whose lane select(sat) sets, if
+    any; sat(roots) has the lanes of a chunk where those roots hold at state 0.
+
+    Search order runs over the there-sequences, then the here-sequences, each
+    read as the binary number of its cells.  A chunk's first hit is found by
+    narrowing digit by digit from the top, over the there-cells, then the
+    here-cells.  Of the chunks of one outer there-pattern, the hit with the
+    least inner there-pattern wins, the earliest on a tie."""
+    best = None
+    for first, high, cells in ht_tables(program, alphabet, there):
+        if best and best[2] != high:
+            break
+
         def sat(roots) -> int:
-            out = valid
+            out = cells[2]
             for root in roots:
                 out = out and out & program.chunk(root, 0, *cells)
             return out
 
         bits = select(sat)
         if bits:
-            return ht_trace(base + (bits & -bits).bit_length() - 1, alphabet, program.tau, there)
-    return None
+            _, _, radix, _, width = _layout(alphabet, there, len(program.tau))
+            masks = _digit_masks(radix, width)[::-1]  # the top digit first
+            for side in (0, 1):  # keep the lanes whose cell is 0, if any
+                for mask in masks:
+                    hit = bits & mask[side]
+                    bits = bits ^ hit or hit
+            lane = bits.bit_length() - 1
+            inner = [upper >> lane & 1 for upper, _ in masks]
+            if best is None or inner < best[0]:
+                best = inner, first + lane, high
+            if inner == [upper & 1 for upper, _ in masks]:  # lane 0's, the least there is
+                break
+    return None if best is None else ht_trace(best[1], alphabet, program.tau, there)
 
 
 def is_model(trace: TimedHTTrace, theory: Theory) -> bool:

@@ -111,6 +111,8 @@ def _subsets(atoms: tuple[str, ...]) -> list[frozenset[str]]:
 
 def _time_maps(length: int, max_time: int, strict: bool) -> Iterator[tuple[int, ...]]:
     """Time maps from 0, ascending (non-decreasing unless strict), in lexicographic order."""
+    if length == 1:  # `combinations` would first copy the range of times
+        return iter([(0,)])
     later = (combinations(range(1, max_time + 1), length - 1) if strict
              else combinations_with_replacement(range(max_time + 1), length - 1))
     return ((0,) + rest for rest in later)
@@ -123,14 +125,18 @@ def region_keys(bounds: EnumerationBounds, program) -> Iterator[tuple[tuple[int,
     (i < j) against the windows of the operators that reach the pair (i, j)
     from state 0.  The key holds which of them hold, pair by pair
     (`semantics.Program.pair_tables`), so maps with equal keys (one region
-    class) give the same verdict for every state sequence.
+    class) give the same verdict for every state sequence.  Per length, each
+    pair's table is read once by every difference up to M, the last of
+    `endpoints`, since a larger difference has the rank of M.
     """
     endpoints = program.endpoints
+    cap = endpoints[-1] if endpoints else 0
+    ranks = [bisect_right(endpoints, d) for d in range(cap + 1)]
     for length in bounds.lengths():
-        tables = program.pair_tables(length)
+        tables = [list(map(table.__getitem__, ranks)) for table in program.pair_tables(length)]
         for times in _time_maps(length, bounds.max_time, bounds.strict_only):
-            ranks = [bisect_right(endpoints, t - s) for j, t in enumerate(times) for s in times[:j]]
-            yield times, tuple(map(getitem, tables, ranks))
+            diffs = [t - s if t - s < cap else cap for j, t in enumerate(times) for s in times[:j]]
+            yield times, tuple(map(getitem, tables, diffs))
 
 
 def state_sequences(alphabet: tuple[str, ...], length: int) -> Iterator[tuple]:

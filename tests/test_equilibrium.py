@@ -325,6 +325,22 @@ def test_region_classes_of_the_traffic_theory():
         assert len({_clock_region(times, program.endpoints) for times, _ in pairs}) == regions
 
 
+def test_region_keys_do_not_grow_with_the_time_bound():
+    # a 1-state search has the one time map (0,) and no pair to key, whatever the
+    # time bound; longer ones read each pair's table by the difference, capped at
+    # the last endpoint
+    program = Program(WITH_PUSH.formulas)
+    tracemalloc.start()
+    try:
+        keys = list(region_keys(EnumerationBounds(TRAFFIC_ATOMS, 1, 10 ** 6), program))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert keys == [((0,), ())] and peak < 2 ** 16
+    far = list(region_keys(EnumerationBounds(TRAFFIC_ATOMS, 2, 400, exact_len=True), program))
+    assert [key for _, key in far[30:]] == [far[30][1]] * 370  # every difference from 31 on
+
+
 def test_searches_on_sparse_time_match_the_oracle_and_the_plain_search(monkeypatch):
     # windows of 40 over time maps up to 100: 8 of the 22 region classes are too
     # sparse for time positions, so `models` runs them on the bit-per-state scan
@@ -383,7 +399,8 @@ def test_bit_parallel_equiv_matches_the_plain_search(strict):
 
 
 def test_bit_parallel_equiv_across_chunks():
-    # 3 atoms over 3 states index 2 * 9 bits, so each time map takes 4 chunks
+    # 3 atoms over 3 states are 9 ternary digits, one chunk of 3**9 lanes per
+    # time map; `test_equiv_and_refinement_scan_on_narrow_chunks` spans many
     rng = random.Random(47)
     atoms = ("p", "q", "r")
     bounds = EnumerationBounds(atoms, 3, 2, exact_len=True)
@@ -397,7 +414,39 @@ def test_bit_parallel_equiv_across_chunks():
             if not verdict.equivalent:
                 trace = verdict.counterexample[0]
                 found_in.add(any("r" in state for state in trace.there[:2]))
-    assert found_in == {False, True}  # counterexamples below and above the first chunk
+    assert found_in == {False, True}  # counterexamples with r in the first two states, or not
+
+
+# pairs that first differ on a here-world without an atom of a later state, or
+# with p at state 0; then two whose first trace needs the there-cells narrowed
+# first and the chunks taken in order: one differs on (T {p}, H {p}) and on
+# (T {q}, H {}), which has fewer here-cells; the other on (T {q}, H {q}) and on
+# (T {p, q}, H {}), which at width 3 (q an outer digit) lies in an earlier chunk
+LATE = [("p & X q", "p & X ~~q"), ("X X p", "X X ~~p"), ("F[1..3) (p & q)", "F[1..3) (~~p & q)"),
+        ("G (q -> X p)", "G (q -> X ~~p)"), ("p -> X X (q | p)", "p -> X X (~~q | p)"),
+        ("p | ~~q & ~p", "q & ~p"), ("~~q & (q | ~~p)", "#false")]
+
+
+@pytest.mark.parametrize("width", [3, 5, 8])
+def test_equiv_and_refinement_scan_on_narrow_chunks(monkeypatch, width):
+    # chunks of 3**1, 3**3 or 3**5 HT lanes, and 2**3, 2**5 or 2**8 for the
+    # refinement scan: L <= 3 spaces over {p, q} span up to 3**5 chunks under
+    # up to 2**5 outer there-patterns, so the first trace in search order is
+    # often not in the first chunk that has a hit
+    monkeypatch.setattr(metricht.semantics, "WIDTH", width)
+    rng = random.Random(60 + width)
+    for strict in (True, False):
+        bounds = EnumerationBounds(("p", "q"), 3, 2, strict_only=strict)
+        pairs = [(parse_theory(a), parse_theory(b)) for a, b in LATE]
+        for _ in range(4):
+            left = _seeded_theory(rng)
+            pairs += [(left, _seeded_theory(rng)),
+                      (left, Theory(tuple(neg(neg(phi)) for phi in left)))]
+        for left, right in pairs:
+            assert bounded_equiv(left, right, bounds) == _plain_equiv(left, right, bounds)
+            for total in islice(enumerate_models(left, bounds), 0, None, 7):
+                first = next((r for r in refinements(total) if is_model(r, left)), None)
+                assert is_equilibrium(total, left).witness == first
 
 
 def test_refinement_scan_across_chunks():
@@ -417,7 +466,7 @@ def test_refinement_scan_indexes_only_the_atoms_of_the_total():
     # refinements in one chunk, not 2**56 indices (every atom in every state)
     total = total_trace([{"pqrs"[k % 4]} for k in range(14)], range(14))
     chunks = islice(ht_tables(Program(()).at(total.times), total.atoms(), total.there), 2)
-    assert [(base, valid) for base, valid, _ in chunks] == [(0, (1 << 2 ** 14) - 1)]
+    assert [(base, cells[2]) for base, _, cells in chunks] == [(0, (1 << 2 ** 14) - 1)]
 
     with time_limit(20, "the refinement scan"):
         for text in ("G (p | q | r | s)", "F[5..9] s", "G (p -> X q)"):
@@ -473,8 +522,17 @@ def test_table_runs_of_nested_windows_grow_linearly(monkeypatch):
     assert counts[12] <= 2 * counts[6], counts
 
 
+def test_equiv_of_ht_equivalent_traffic_rules_at_length_five():
+    # `G (red & green -> #false)` and `G (green -> ~red)` are HT-equivalent, so
+    # the scan runs to the end: 3**15 HT lanes per region class in 243 chunks
+    right = Theory((parse_theory("G (green -> ~red)").formulas[0],) + RULES.formulas[1:])
+    with time_limit(10, "equiv of the traffic rules at L5"):
+        assert bounded_equiv(RULES, right, EnumerationBounds(TRAFFIC_ATOMS, 5, 6, exact_len=True)) \
+            == EquivVerdict(True, None)
+
+
 def test_equiv_memory_stays_bounded():
-    # 3 atoms at L = 4: 2**24 (there, here) indices per time map, in 2**16-bit chunks
+    # 3 atoms at L = 4: 3**12 HT lanes per time map, in 9 chunks of 3**10
     atoms = ("p", "q", "r")
     bounds = EnumerationBounds(atoms, 4, 3, exact_len=True)
     left = parse_theory("G (p -> F[1..3) q)\nG (r | ~q)\n")

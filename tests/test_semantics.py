@@ -215,9 +215,8 @@ def test_tables_match_oracle_exhaustively():
     checked = 0
     for times in {times for _, _, times in oracle.bounded_space(atoms, 3, 4, strict=False)}:
         program = Program(formulas).at(times)  # one per time map, for both runs
-        for base, valid, cells in ht_tables(program, atoms):
-            traces = [(i, ht_trace(base + i, atoms, times))
-                      for i in range(valid.bit_length()) if valid >> i & 1]
+        for base, _, cells in ht_tables(program, atoms):
+            traces = [(i, ht_trace(base + i, atoms, times)) for i in range(cells[2].bit_length())]
             # every HT trace with this time map, once, here != there included
             assert len({(t.here, t.there) for _, t in traces}) == 3 ** (2 * len(times))
             compiled = [list(program.bits(t.here, t.there)) for _, t in traces]
@@ -231,6 +230,15 @@ def test_tables_match_oracle_exhaustively():
                             (format_formula(phi), t, k)
                         checked += 1
     assert checked == 941_472
+
+
+def test_an_l3_time_map_over_two_atoms_is_729_ht_lanes():
+    # one ternary digit per (state, atom): 3**6 lanes in one chunk, each a
+    # distinct HT trace (`TimedHTTrace` refuses a here-state outside its there-state)
+    times, atoms = (0, 1, 2), ("p", "q")
+    chunks = list(ht_tables(Program((Atom("p"),)).at(times), atoms))
+    assert [(first, cells[2]) for first, _, cells in chunks] == [(0, (1 << 729) - 1)]
+    assert len({(t.here, t.there) for t in (ht_trace(i, atoms, times) for i in range(729))}) == 729
 
 
 def test_table_runs_of_chains_and_shared_nodes_match_oracle():
@@ -252,9 +260,8 @@ def test_table_runs_of_chains_and_shared_nodes_match_oracle():
     atoms, checked = ("p", "q"), 0
     for times in {times for _, _, times in oracle.bounded_space(atoms, 3, 2, strict=False)}:
         program = Program(formulas).at(times)
-        for base, valid, cells in ht_tables(program, atoms):
-            traces = [(i, ht_trace(base + i, atoms, times))
-                      for i in range(valid.bit_length()) if valid >> i & 1]
+        for base, _, cells in ht_tables(program, atoms):
+            traces = [(i, ht_trace(base + i, atoms, times)) for i in range(cells[2].bit_length())]
             for phi, root in zip(formulas, program.roots):
                 for k in range(len(times)):
                     bits = program.chunk(root, k, *cells)
