@@ -43,6 +43,7 @@ NESTED = "tests/test_equilibrium.py::test_table_runs_of_nested_windows_grow_line
 DUAL = "tests/test_rewrite.py::test_bool_dual_examples"
 SWAP = "tests/test_rewrite.py::test_time_swap_examples"
 NARROW = "tests/test_equilibrium.py::test_equiv_and_refinement_scan_on_narrow_chunks"
+FAR = "tests/test_equilibrium.py::test_region_keys_do_not_grow_with_the_time_bound"
 
 # `bounded_equiv`'s loop over region classes (`stream_models` has one too)
 KEYED, SEARCHED = "for times, key in region_keys(bounds, ", ":\n        if key in searched:"
@@ -149,9 +150,14 @@ CATALOGUE = [
     ("metricht/semantics.py", "for side in (0, 1):", "for side in (1, 0):", [NARROW]),
     ("metricht/semantics.py", "if inner == [upper & 1 for upper, _ in masks]:", "if True:",
      [NARROW]),
-    # region keys: a difference equal to an endpoint read at the rank below it
+    # region keys: a difference equal to an endpoint read at the rank below it;
+    # the tables capped at the last endpoint alone, not at max_time too; the
+    # ranks built for a length with no pair
     ("metricht/traces.py", "bisect_right(endpoints, d)", "bisect_right(endpoints, d - 1)",
      [VERDICTS]),
+    ("metricht/traces.py", "cap = min(endpoints[-1] if endpoints else 0, bounds.max_time)",
+     "cap = endpoints[-1] if endpoints else 0", [FAR]),
+    ("metricht/traces.py", "if tables and not ranks:", "if not ranks:", [FAR]),
     # `models` printing only once the whole search is done
     ("metricht/cli.py", "enumerate(stream_models(theory, bounds, args.equilibrium), start=1)",
      "enumerate(list(stream_models(theory, bounds, args.equilibrium)), start=1)", [STREAMS]),

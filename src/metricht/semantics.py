@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from itertools import accumulate, repeat
-from math import log2
 from operator import getitem, lshift, rshift, sub
 from typing import Iterator
 
@@ -45,12 +44,11 @@ class Program:
     their truth; None for the lhs of F/O (#true) and G/H (#false), which
     never stops the scan; and whether the node is no leaf and used more than
     once (by other nodes or as a root), or a U/R/S/T below two others (node
-    0, a leaf, fills in for a missing operand).  `cells` keeps the last
-    chunk `ht_tables` built, by (alphabet, there, length, outer digits).  A
-    program bound by `at(tau)` runs traces (`bits`), placing the states on a
-    line of time positions on first use.  Both runs follow one world rule:
-    the there-world is evaluated first, and a here-world implication also
-    needs the there-world's value of its node."""
+    0, a leaf, fills in for a missing operand).  A program bound by
+    `at(tau)` runs traces (`bits`), placing the states on a line of time
+    positions on first use.  Both runs follow one world rule: the
+    there-world is evaluated first, and a here-world implication also needs
+    the there-world's value of its node."""
 
     def __init__(self, formulas):
         number, seen = {}, {}  # node -> its number in post-order; id(subformula) -> number
@@ -69,7 +67,6 @@ class Program:
         self.endpoints = sorted({x for _, detail, _, _ in self.nodes if type(detail) is tuple
                                  for x in detail if x is not None})
         self.chunk_nodes = []  # shared by the bindings, filled by the first `ht_tables`
-        self.cells = [None, None]  # the key and cells of the last chunk, shared by the bindings
 
     def at(self, tau: tuple[int, ...]) -> Program:
         """This program bound to one time map: the same nodes and roots, its own masks.
@@ -86,7 +83,7 @@ class Program:
         so it takes p_k = k on its window line."""
         timed = object.__new__(Program)  # not compiled again
         timed.nodes, timed.roots, timed.endpoints = self.nodes, self.roots, self.endpoints
-        timed.chunk_nodes, timed.cells = self.chunk_nodes, self.cells
+        timed.chunk_nodes = self.chunk_nodes
         timed.tau, timed.full, timed.pos, timed._masks = tau, (1 << len(tau)) - 1, None, {}
         timed._atoms = None  # see `_run`: a search runs many traces through one binding
         return timed
@@ -412,22 +409,10 @@ def _layout(alphabet: tuple[str, ...], there: tuple[frozenset[str], ...] | None,
     for k in reversed(range(lam)):
         offsets[k], digits = digits, digits + len(atoms[k])
     radix = 3 if there is None else 2
-    width = min(digits, int(WIDTH / log2(radix)))
+    width = min(digits, WIDTH)
+    while radix ** width > 1 << WIDTH:
+        width -= 1
     return atoms, offsets, radix, digits, width
-
-
-def _cells(alphabet: tuple[str, ...], there, lam: int, high: int, low: int) -> tuple:
-    """Per world, each atom's cells per state on the chunk whose outer digits have
-    the there-pattern `high` and the here-pattern `low`; and the mask of its lanes."""
-    atoms, offsets, radix, digits, width = _layout(alphabet, there, lam)
-    full = (1 << radix ** width) - 1
-    masks = _digit_masks(radix, width) + tuple(
-        (full if high >> j & 1 else 0, full if low >> j & 1 else 0) for j in range(digits - width))
-    here, upper = {a: [0] * lam for a in alphabet}, {a: [0] * lam for a in alphabet}
-    for k, (state, offset) in enumerate(zip(atoms, offsets)):
-        for i, a in enumerate(state):
-            upper[a][k], here[a][k] = masks[offset + i]
-    return here, upper, full
 
 
 def ht_tables(program: Program, alphabet: tuple[str, ...],
@@ -441,9 +426,10 @@ def ht_tables(program: Program, alphabet: tuple[str, ...],
     there), so every lane is an HT trace; with `there` fixed it is the
     here-bit.  A chunk spans the lowest `width` digits, and the chunks come by
     their outer there-pattern, then their outer here-pattern, each read as a
-    binary number.  Yields (first index, outer there-pattern, cells) per
-    chunk: `program.chunk(node, k, *cells)` evaluates a node on it, and
-    cells[2] has a bit per lane (cells ends with the chunk's memo).
+    binary number.  Yields (first index, outer there-pattern, masks, cells) per
+    chunk: masks holds the chunk's `_digit_masks`, the top digit first;
+    `program.chunk(node, k, *cells)` evaluates a node on it, and cells[2] has
+    a bit per lane (cells ends with the chunk's memo).
     """
     nodes, lam = program.nodes, len(program.tau)
     if not program.chunk_nodes:  # once per compiled program: its bindings share the list
@@ -470,16 +456,20 @@ def ht_tables(program: Program, alphabet: tuple[str, ...],
             leaf = kind is Bottom or type(detail) is str  # an atom, a negated atom, a constant
             program.chunk_nodes.append((kind, detail, a, b, uses[i] > 1 and not leaf
                                         or deep[i] > 1 and kind in KERNEL_BINARY))
-    _, _, radix, digits, width = _layout(alphabet, there, lam)
-    outer, lanes = digits - width, radix ** width
+    atoms, offsets, radix, digits, width = _layout(alphabet, there, lam)
+    outer, lanes, inner = digits - width, radix ** width, _digit_masks(radix, width)
+    full, top = (1 << lanes) - 1, inner[::-1]
     for high in range(0 if there is None else (1 << outer) - 1, 1 << outer):
         low = 0
         while True:  # the subsets of high, ascending; outer digit j is (radix - 2) high_j + low_j
+            by_digit = inner + tuple((full if high >> j & 1 else 0, full if low >> j & 1 else 0)
+                                     for j in range(outer))
+            here, upper = {a: [0] * lam for a in alphabet}, {a: [0] * lam for a in alphabet}
+            for k, (state, offset) in enumerate(zip(atoms, offsets)):
+                for i, a in enumerate(state):
+                    upper[a][k], here[a][k] = by_digit[offset + i]
             first = ((radix - 2) * int(f"{high:b}", radix) + int(f"{low:b}", radix)) * lanes
-            key = alphabet, there, lam, high, low
-            if program.cells[0] != key:  # every region class of a one-chunk length reuses them
-                program.cells[:] = key, _cells(*key)
-            yield first, high, program.cells[1] + ({},)
+            yield first, high, top, (here, upper, full, {})
             if low == high:
                 break
             low = low - high & high
@@ -509,7 +499,7 @@ def first_trace(program: Program, alphabet: tuple[str, ...], select,
     here-cells.  Of the chunks of one outer there-pattern, the hit with the
     least inner there-pattern wins, the earliest on a tie."""
     best = None
-    for first, high, cells in ht_tables(program, alphabet, there):
+    for first, high, masks, cells in ht_tables(program, alphabet, there):
         if best and best[2] != high:
             break
 
@@ -521,9 +511,7 @@ def first_trace(program: Program, alphabet: tuple[str, ...], select,
 
         bits = select(sat)
         if bits:
-            _, _, radix, _, width = _layout(alphabet, there, len(program.tau))
-            masks = _digit_masks(radix, width)[::-1]  # the top digit first
-            for side in (0, 1):  # keep the lanes whose cell is 0, if any
+            for side in (0, 1):  # keep the lanes whose cell is 0, if any, the top digit first
                 for mask in masks:
                     hit = bits & mask[side]
                     bits = bits ^ hit or hit

@@ -126,14 +126,17 @@ def region_keys(bounds: EnumerationBounds, program) -> Iterator[tuple[tuple[int,
     from state 0.  The key holds which of them hold, pair by pair
     (`semantics.Program.pair_tables`), so maps with equal keys (one region
     class) give the same verdict for every state sequence.  Per length, each
-    pair's table is read once by every difference up to M, the last of
-    `endpoints`, since a larger difference has the rank of M.
+    pair's table is read once by every difference up to the cap, the lesser of
+    M, the last of `endpoints`, and max_time: a larger difference has the rank
+    of M, and none exceeds max_time.
     """
-    endpoints = program.endpoints
-    cap = endpoints[-1] if endpoints else 0
-    ranks = [bisect_right(endpoints, d) for d in range(cap + 1)]
+    endpoints, ranks = program.endpoints, []
+    cap = min(endpoints[-1] if endpoints else 0, bounds.max_time)
     for length in bounds.lengths():
-        tables = [list(map(table.__getitem__, ranks)) for table in program.pair_tables(length)]
+        tables = program.pair_tables(length)
+        if tables and not ranks:  # the first length with a state pair
+            ranks = [bisect_right(endpoints, d) for d in range(cap + 1)]
+        tables = [list(map(table.__getitem__, ranks)) for table in tables]
         for times in _time_maps(length, bounds.max_time, bounds.strict_only):
             diffs = [t - s if t - s < cap else cap for j, t in enumerate(times) for s in times[:j]]
             yield times, tuple(map(getitem, tables, diffs))

@@ -326,18 +326,23 @@ def test_region_classes_of_the_traffic_theory():
 
 
 def test_region_keys_do_not_grow_with_the_time_bound():
-    # a 1-state search has the one time map (0,) and no pair to key, whatever the
-    # time bound; longer ones read each pair's table by the difference, capped at
-    # the last endpoint
-    program = Program(WITH_PUSH.formulas)
+    # no difference exceeds max_time, and none past M, the last endpoint,
+    # changes its rank, so each pair's table stops at the lesser of the two; a
+    # 1-state search has the one time map (0,) and no pair, so it builds none
+    program = Program(parse_theory(f"F[0..{10 ** 6}] p\nF[3..{10 ** 6}) q\n").formulas)
     tracemalloc.start()
     try:
-        keys = list(region_keys(EnumerationBounds(TRAFFIC_ATOMS, 1, 10 ** 6), program))
+        with time_limit(10, "region keys of windows of 10**6"):
+            short = list(region_keys(EnumerationBounds(("p", "q"), 1, 10 ** 6), program))
+            keys = list(region_keys(EnumerationBounds(("p", "q"), 2, 5), program))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert keys == [((0,), ())] and peak < 2 ** 16
-    far = list(region_keys(EnumerationBounds(TRAFFIC_ATOMS, 2, 400, exact_len=True), program))
+    assert short == [((0,), ())] and peak < 2 ** 16
+    assert [times for times, _ in keys] == [(0,), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]
+    assert len({key for _, key in keys[1:]}) == 2  # d < 3 and d >= 3
+    far = list(region_keys(EnumerationBounds(TRAFFIC_ATOMS, 2, 400, exact_len=True),
+                           Program(WITH_PUSH.formulas)))
     assert [key for _, key in far[30:]] == [far[30][1]] * 370  # every difference from 31 on
 
 
@@ -466,7 +471,7 @@ def test_refinement_scan_indexes_only_the_atoms_of_the_total():
     # refinements in one chunk, not 2**56 indices (every atom in every state)
     total = total_trace([{"pqrs"[k % 4]} for k in range(14)], range(14))
     chunks = islice(ht_tables(Program(()).at(total.times), total.atoms(), total.there), 2)
-    assert [(base, cells[2]) for base, _, cells in chunks] == [(0, (1 << 2 ** 14) - 1)]
+    assert [(base, cells[2]) for base, _, _, cells in chunks] == [(0, (1 << 2 ** 14) - 1)]
 
     with time_limit(20, "the refinement scan"):
         for text in ("G (p | q | r | s)", "F[5..9] s", "G (p -> X q)"):

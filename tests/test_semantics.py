@@ -215,7 +215,7 @@ def test_tables_match_oracle_exhaustively():
     checked = 0
     for times in {times for _, _, times in oracle.bounded_space(atoms, 3, 4, strict=False)}:
         program = Program(formulas).at(times)  # one per time map, for both runs
-        for base, _, cells in ht_tables(program, atoms):
+        for base, _, _, cells in ht_tables(program, atoms):
             traces = [(i, ht_trace(base + i, atoms, times)) for i in range(cells[2].bit_length())]
             # every HT trace with this time map, once, here != there included
             assert len({(t.here, t.there) for _, t in traces}) == 3 ** (2 * len(times))
@@ -237,7 +237,7 @@ def test_an_l3_time_map_over_two_atoms_is_729_ht_lanes():
     # distinct HT trace (`TimedHTTrace` refuses a here-state outside its there-state)
     times, atoms = (0, 1, 2), ("p", "q")
     chunks = list(ht_tables(Program((Atom("p"),)).at(times), atoms))
-    assert [(first, cells[2]) for first, _, cells in chunks] == [(0, (1 << 729) - 1)]
+    assert [(first, cells[2]) for first, _, _, cells in chunks] == [(0, (1 << 729) - 1)]
     assert len({(t.here, t.there) for t in (ht_trace(i, atoms, times) for i in range(729))}) == 729
 
 
@@ -260,7 +260,7 @@ def test_table_runs_of_chains_and_shared_nodes_match_oracle():
     atoms, checked = ("p", "q"), 0
     for times in {times for _, _, times in oracle.bounded_space(atoms, 3, 2, strict=False)}:
         program = Program(formulas).at(times)
-        for base, _, cells in ht_tables(program, atoms):
+        for base, _, _, cells in ht_tables(program, atoms):
             traces = [(i, ht_trace(base + i, atoms, times)) for i in range(cells[2].bit_length())]
             for phi, root in zip(formulas, program.roots):
                 for k in range(len(times)):
