@@ -44,6 +44,10 @@ DUAL = "tests/test_rewrite.py::test_bool_dual_examples"
 SWAP = "tests/test_rewrite.py::test_time_swap_examples"
 NARROW = "tests/test_equilibrium.py::test_equiv_and_refinement_scan_on_narrow_chunks"
 FAR = "tests/test_equilibrium.py::test_region_keys_do_not_grow_with_the_time_bound"
+PAIRS = "tests/test_equilibrium.py::test_pair_tables_match_a_window_test_at_every_difference"
+LANES = "tests/test_semantics.py::test_an_l3_time_map_over_two_atoms_is_729_ht_lanes"
+MAPS = "tests/test_traces.py::test_time_maps_follow_the_itertools_order"
+RENAME = "tests/test_fom.py::test_rename_skips_the_free_names"
 
 # `bounded_equiv`'s loop over region classes (`stream_models` has one too)
 KEYED, SEARCHED = "for times, key in region_keys(bounds, ", ":\n        if key in searched:"
@@ -88,7 +92,7 @@ CATALOGUE = [
     ("metricht/semantics.py", "or deep[i] > 1 and kind in KERNEL_BINARY", "", [NESTED]),
     # an X/Y window that holds its upper bound, in `_gaps` and in `chunk`; the
     # U/R/S/T window of `chunk` without its farthest state, or without its nearest
-    ("metricht/semantics.py", "d < hi", "d <= hi", [POSITIONS]),
+    ("metricht/semantics.py", 'd < hi) else "0"', 'd <= hi) else "0"', [POSITIONS]),
     ("metricht/semantics.py", "d < upper", "d <= upper", [EXHAUSTIVE]),
     ("metricht/semantics.py", "if upper is not None and d >= upper:",
      "if upper is not None and d >= upper - 1:", [EQUIV]),
@@ -133,7 +137,7 @@ CATALOGUE = [
      "side, reach = 2, here", [VERDICTS]),
     ("metricht/semantics.py", "side, reach = 1, full & -(here & -here)", "side, reach = 1, here",
      [VERDICTS]),
-    ("metricht/semantics.py", "rep < hi", "rep <= hi", [VERDICTS]),
+    ("metricht/semantics.py", "d < hi))", "d <= hi))", [VERDICTS]),
     # `chunk` on HT lanes: ~a read in the here-world, for an atom in place and for
     # any other a; the lhs of every U/S dropped, not only F/O's #true
     ("metricht/semantics.py", "cells = there.get(detail)", "cells = here.get(detail)", [TABLES]),
@@ -150,14 +154,26 @@ CATALOGUE = [
     ("metricht/semantics.py", "for side in (0, 1):", "for side in (1, 0):", [NARROW]),
     ("metricht/semantics.py", "if inner == [upper & 1 for upper, _ in masks]:", "if True:",
      [NARROW]),
-    # region keys: a difference equal to an endpoint read at the rank below it;
-    # the tables capped at the last endpoint alone, not at max_time too; the
-    # ranks built for a length with no pair
-    ("metricht/traces.py", "bisect_right(endpoints, d)", "bisect_right(endpoints, d - 1)",
+    # region keys: a run of differences read at the difference below it (so a
+    # difference equal to an endpoint reads the run before); no run starting at
+    # the cap; the tables capped at the last endpoint alone, not at max_time
+    # too; a difference past the cap read as it is
+    ("metricht/semantics.py", "for d in starts]", "for d in [x - 1 for x in starts]]",
      [VERDICTS]),
-    ("metricht/traces.py", "cap = min(endpoints[-1] if endpoints else 0, bounds.max_time)",
-     "cap = endpoints[-1] if endpoints else 0", [FAR]),
-    ("metricht/traces.py", "if tables and not ranks:", "if not ranks:", [FAR]),
+    ("metricht/semantics.py", "0 < x <= cap", "0 < x < cap", [PAIRS]),
+    ("metricht/semantics.py",
+     "cap = min(program.endpoints[-1] if program.endpoints else 0, bounds.max_time)",
+     "cap = program.endpoints[-1] if program.endpoints else 0", [FAR]),
+    ("metricht/semantics.py", "t - s if t - s < cap else cap", "t - s", [FAR]),
+    # a lane's there-state read from the here-cells; `equiv` keeping the lanes
+    # where either theory holds, not exactly one
+    ("metricht/semantics.py", "for world in cells[:2]", "for world in (cells[0], cells[0])",
+     [LANES]),
+    ("metricht/semantics.py", "bits ^= out", "bits |= out", [EQUIV]),
+    # the time maps: a strict tail restarted at one stamp, not one apart
+    ("metricht/traces.py", "times[j] + 1 + step * i", "times[j] + 1", [MAPS]),
+    # `fom._rename`: a bound variable left on a free variable's name
+    ("metricht/fom.py", "if made & free else out", "if False else out", [RENAME]),
     # `models` printing only once the whole search is done
     ("metricht/cli.py", "enumerate(stream_models(theory, bounds, args.equilibrium), start=1)",
      "enumerate(list(stream_models(theory, bounds, args.equilibrium)), start=1)", [STREAMS]),

@@ -6,7 +6,7 @@ equivalence check are exhaustive over a finite bounded trace space, so a
 negative answer is definitive while a positive one holds within the bounds.
 Each search compiles one `semantics.Program` and binds it to one time map per
 region class, the time maps alike on every window test reached from state 0
-(`traces.region_keys`); the refinement scan and the equivalence check run it
+(`semantics.region_keys`); the refinement scan and the equivalence check run it
 on a whole chunk of traces at once (`semantics.first_trace`).
 """
 
@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .semantics import Program, first_bit, first_trace
+from .semantics import Program, first_bit, first_trace, region_keys
 from .semantics import is_model, mht_sat  # noqa: F401  (wrapped by bench/tracer.py)
 from .syntax import Theory
-from .traces import EnumerationBounds, TimedHTTrace, region_keys, state_sequences
+from .traces import EnumerationBounds, TimedHTTrace, state_sequences
 from .traces import enumerate_total_traces, refinements  # noqa: F401  (bench/tracer.py)
 
 
@@ -43,7 +43,7 @@ def _first_smaller_model(program: Program, there: tuple) -> TimedHTTrace | None:
     The total itself has the highest index of its refinement space.
     """
     alphabet = tuple(sorted(frozenset().union(*there)))
-    smaller = first_trace(program, alphabet, lambda sat: sat(program.roots), there)
+    smaller = first_trace(program, alphabet, (program.roots,), there)
     return None if smaller is None or smaller.here == there else smaller
 
 
@@ -112,7 +112,7 @@ def bounded_equiv(left: Theory, right: Theory, bounds: EnumerationBounds) -> Equ
             continue
         searched.add(key)
         timed = program.at(times)
-        trace = first_trace(timed, bounds.alphabet, lambda sat: sat(lhs) ^ sat(rhs))
+        trace = first_trace(timed, bounds.alphabet, (lhs, rhs))
         if trace is None:
             continue
         # the total comes before its refinements, though its index is higher

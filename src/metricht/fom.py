@@ -280,43 +280,44 @@ def _simp(phi: FOMFormula) -> FOMFormula:
 _NAME_CYCLE = ("x", "y", "z")
 
 
-def free_names(phi: FOMFormula, bound: frozenset[str] = frozenset()) -> set[str]:
-    if isinstance(phi, Pred):
-        return {phi.arg.name} - bound if isinstance(phi.arg, Var) else set()
-    if isinstance(phi, Diff):
-        return {t.name for t in (phi.left, phi.right) if isinstance(t, Var)} - bound
-    if isinstance(phi, (And, Or, Implies)):
-        return free_names(phi.lhs, bound) | free_names(phi.rhs, bound)
-    if isinstance(phi, (Forall, Exists)):
-        return free_names(phi.body, bound | {phi.var.name})
-    return set()
-
-
-def _rename(phi: FOMFormula) -> FOMFormula:
-    counter = count()
-    taken = free_names(phi)
+def _rename(phi: FOMFormula, taken: frozenset[str] = frozenset()) -> FOMFormula:
+    """Bound variables renamed x, y, z, x1, ... in traversal order, none to a free name:
+    walked again with the free names `taken` only if the first walk gave one away."""
+    counter, free, made = count(), set(), set()
 
     def fresh() -> Var:
         while True:
             i = next(counter)
             name = _NAME_CYCLE[i % 3] + ("" if i < 3 else str(i // 3))
             if name not in taken:
+                made.add(name)
                 return Var(name)
+
+    def term(t: Term, env: dict[Var, Var]) -> Term:
+        if isinstance(t, Var) and t not in env:
+            free.add(t.name)
+        return env.get(t, t)
 
     def walk(node: FOMFormula, env: dict[Var, Var]) -> FOMFormula:
         if isinstance(node, (Top, Bot)):
             return node
         if isinstance(node, Pred):
-            return Pred(node.name, env.get(node.arg, node.arg))
+            return Pred(node.name, term(node.arg, env))
         if isinstance(node, Diff):
-            return Diff(env.get(node.left, node.left), node.delta,
-                        env.get(node.right, node.right))
+            return Diff(term(node.left, env), node.delta, term(node.right, env))
         if isinstance(node, (And, Or, Implies)):
             return type(node)(walk(node.lhs, env), walk(node.rhs, env))
-        new = fresh()
-        return type(node)(new, walk(node.body, {**env, node.var: new}))
+        var, new = node.var, fresh()
+        outer, env[var] = env.get(var), new  # restored after the body: one dict for all binders
+        body = walk(node.body, env)
+        if outer is None:
+            del env[var]
+        else:
+            env[var] = outer
+        return type(node)(new, body)
 
-    return walk(phi, {})
+    out = walk(phi, {})
+    return _rename(phi, frozenset(free)) if made & free else out
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import getitem, lshift, rshift, sub
 from typing import Iterator
 
@@ -24,7 +24,7 @@ from .syntax import (
     And, Atom, Bottom, Formula, FULL, Implies, Interval, KERNEL_BINARY, Next, Or,
     Prev, Release, Since, Theory, Trigger, TRUE, Until, always, neg, postorder,
 )
-from .traces import TimedHTTrace
+from .traces import EnumerationBounds, TimedHTTrace, time_maps
 
 WIDTH = 16  # a table spans at most 2**WIDTH traces (8 KB); higher index digits are enumerated
 DENSITY = 16  # time positions per state at most; sparser time keeps state indices
@@ -37,7 +37,7 @@ class Program:
     `nodes` holds (kind, detail, lhs, rhs) per subformula: the formula class,
     the atom name or window (lower, upper) and the operands' node numbers;
     `roots` holds each formula's node; `endpoints` the sorted finite window
-    bounds, which cap the gaps (`at`) and rank the differences `pair_tables` reads.
+    bounds, which cap the gaps (`at`) and split the differences `pair_tables` reads.
     `chunk_nodes` adds what only `chunk` reads: for & and |, whether the lhs
     is a & or | too (as detail); a negation ~a as kind `neg`, with a's name
     when a is an atom; #false and #true (#false -> #false) as Bottom with
@@ -88,12 +88,14 @@ class Program:
         timed._atoms = None  # see `_run`: a search runs many traces through one binding
         return timed
 
-    def pair_tables(self, length: int) -> list[list[int]]:
-        """Per state pair (i, j), i < j, by j then i: a table from the rank of tau[j] - tau[i]
-        among `endpoints` (`bisect_right`) to the bits of the windows tested on the pair that
-        hold there.  From state 0 of the roots, X at state k tests (k, k + 1), Y (k - 1, k),
-        U/R (k, j) for every j > k and S/T (j, k) for every j < k, and U/R (S/T) may evaluate
-        their operands at every later (earlier) state."""
+    def pair_tables(self, length: int, cap: int) -> list[list[int]]:
+        """Per state pair (i, j), i < j, by j then i: a table from each difference
+        tau[j] - tau[i] up to `cap` to the bits of the windows tested on the pair that
+        hold there.  The differences from one of `endpoints` up to the next pass the
+        same tests, so each such run's bits are found once and repeated over it.
+        From state 0 of the roots, X at state k tests (k, k + 1), Y (k - 1, k),
+        U/R (k, j) for every j > k and S/T (j, k) for every j < k, and U/R (S/T) may
+        evaluate their operands at every later (earlier) state."""
         full, at, tested = (1 << length) - 1, [0] * len(self.nodes), {}
         for root in self.roots:
             at[root] = 1  # bit k: the node may be evaluated at state k
@@ -113,11 +115,13 @@ class Program:
             at[b] |= reach  # X and Y: node 0
             if side is not None:  # the k of X/Y's (k, k + 1), U/R's (k, j > k), S/T's (j < k, k)
                 tested.setdefault(window, [0, 0, 0])[side] |= here
-        ranked = [-1, *self.endpoints]  # a difference of each rank
-        return [[sum(1 << w for w, ((lo, hi), (step, ahead, behind)) in enumerate(tested.items())
-                     if (j == i + 1 and step >> i & 1 or ahead >> i & 1 or behind >> j & 1)
-                     and lo <= rep and (hi is None or rep < hi)) for rep in ranked]
-                for j in range(length) for i in range(j)]
+        starts = [0, *(x for x in self.endpoints if 0 < x <= cap)]  # each run's first difference
+        runs = list(map(sub, [*starts[1:], cap + 1], starts))
+        return [list(chain.from_iterable(map(repeat, [
+            sum(1 << w for w, ((lo, hi), (step, ahead, behind)) in enumerate(tested.items())
+                if (j == i + 1 and step >> i & 1 or ahead >> i & 1 or behind >> j & 1)
+                and lo <= d and (hi is None or d < hi)) for d in starts], runs)))
+            for j in range(length) for i in range(j)]
 
     def position(self, k: int) -> int:
         """The bit of state k in the ints that `bits` yields."""
@@ -363,6 +367,26 @@ class Program:
         return int("".join(out if future else reversed(out)), 2) ^ flip
 
 
+def region_keys(bounds: EnumerationBounds,
+                program: Program) -> Iterator[tuple[tuple[int, ...], tuple]]:
+    """Each time map within bounds, in enumeration order, with its region key.
+
+    Satisfaction at state 0 reads time only through tests of tau[j] - tau[i]
+    (i < j) against the windows of the operators that reach the pair (i, j)
+    from state 0.  The key holds which of them hold, pair by pair
+    (`Program.pair_tables`), so maps with equal keys (one region class) give
+    the same verdict for every state sequence.  Each pair's table runs up to
+    the cap, the lesser of M, the last of `endpoints`, and max_time: a larger
+    difference passes the tests M does, and none exceeds max_time.
+    """
+    cap = min(program.endpoints[-1] if program.endpoints else 0, bounds.max_time)
+    for length in bounds.lengths():
+        tables = program.pair_tables(length, cap)
+        for times in time_maps(length, bounds.max_time, bounds.strict_only):
+            diffs = [t - s if t - s < cap else cap for j, t in enumerate(times) for s in times[:j]]
+            yield times, tuple(map(getitem, tables, diffs))
+
+
 def state_bits(trace: TimedHTTrace, formulas) -> list[int]:
     """Each formula's truth at every state of the trace, bit k for state k, in one pass:
     `Program.bits` read back from time positions to state indices."""
@@ -398,38 +422,22 @@ def _digit_masks(radix: int, width: int) -> tuple[tuple[int, int], ...]:
     return tuple(masks)
 
 
-def _layout(alphabet: tuple[str, ...], there: tuple[frozenset[str], ...] | None,
-            lam: int) -> tuple[list[tuple[str, ...]], list[int], int, int, int]:
-    """Per here-state, the atoms it owns a digit for and the position of the
-    lowest (the later states own the lower digits); the radix, the number of
-    digits and the width of a chunk, the most low digits with radix**width at
-    most 2**WIDTH lanes."""
-    atoms = [alphabet] * lam if there is None else [tuple(sorted(state)) for state in there]
-    offsets, digits = [0] * lam, 0
-    for k in reversed(range(lam)):
-        offsets[k], digits = digits, digits + len(atoms[k])
-    radix = 3 if there is None else 2
-    width = min(digits, WIDTH)
-    while radix ** width > 1 << WIDTH:
-        width -= 1
-    return atoms, offsets, radix, digits, width
-
-
 def ht_tables(program: Program, alphabet: tuple[str, ...],
               there: tuple[frozenset[str], ...] | None = None) -> Iterator[tuple]:
     """The HT traces with the program's time map, in chunks of lanes, in search order.
 
     Here-state k owns a digit per atom of the alphabet or, when `there` fixes
     the there-states (the alphabet holding their atoms), per atom of there[k];
-    atom i of state k is digit i plus the digits of the states after k.  With
-    `there` free a digit is ternary (0 absent, 1 there only, 2 here and
-    there), so every lane is an HT trace; with `there` fixed it is the
-    here-bit.  A chunk spans the lowest `width` digits, and the chunks come by
-    their outer there-pattern, then their outer here-pattern, each read as a
-    binary number.  Yields (first index, outer there-pattern, masks, cells) per
-    chunk: masks holds the chunk's `_digit_masks`, the top digit first;
-    `program.chunk(node, k, *cells)` evaluates a node on it, and cells[2] has
-    a bit per lane (cells ends with the chunk's memo).
+    `digits` lists them as (state, atom), the lowest first: the later states
+    first, each state's atoms ascending.  With `there` free a digit is ternary
+    (0 absent, 1 there only, 2 here and there), so every lane is an HT trace;
+    with `there` fixed it is the here-bit.  A chunk spans the lowest `width`
+    digits, and the chunks come by their outer there-pattern, then their outer
+    here-pattern, each read as a binary number.  Yields (outer there-pattern,
+    masks, cells) per chunk: masks holds the chunk's `_digit_masks`, the top
+    digit first; `program.chunk(node, k, *cells)` evaluates a node on it,
+    `lane_trace` reads a lane's trace back from it, and cells[2] has a bit per
+    lane (cells ends with the chunk's memo).
     """
     nodes, lam = program.nodes, len(program.tau)
     if not program.chunk_nodes:  # once per compiled program: its bindings share the list
@@ -456,42 +464,40 @@ def ht_tables(program: Program, alphabet: tuple[str, ...],
             leaf = kind is Bottom or type(detail) is str  # an atom, a negated atom, a constant
             program.chunk_nodes.append((kind, detail, a, b, uses[i] > 1 and not leaf
                                         or deep[i] > 1 and kind in KERNEL_BINARY))
-    atoms, offsets, radix, digits, width = _layout(alphabet, there, lam)
-    outer, lanes, inner = digits - width, radix ** width, _digit_masks(radix, width)
-    full, top = (1 << lanes) - 1, inner[::-1]
+    atoms = [alphabet] * lam if there is None else [sorted(state) for state in there]
+    digits = [(k, a) for k in reversed(range(lam)) for a in atoms[k]]
+    radix = 3 if there is None else 2
+    width = min(len(digits), WIDTH)
+    while radix ** width > 1 << WIDTH:
+        width -= 1
+    outer, inner = len(digits) - width, _digit_masks(radix, width)
+    full, top = (1 << radix ** width) - 1, inner[::-1]
     for high in range(0 if there is None else (1 << outer) - 1, 1 << outer):
         low = 0
         while True:  # the subsets of high, ascending; outer digit j is (radix - 2) high_j + low_j
             by_digit = inner + tuple((full if high >> j & 1 else 0, full if low >> j & 1 else 0)
                                      for j in range(outer))
             here, upper = {a: [0] * lam for a in alphabet}, {a: [0] * lam for a in alphabet}
-            for k, (state, offset) in enumerate(zip(atoms, offsets)):
-                for i, a in enumerate(state):
-                    upper[a][k], here[a][k] = by_digit[offset + i]
-            first = ((radix - 2) * int(f"{high:b}", radix) + int(f"{low:b}", radix)) * lanes
-            yield first, high, top, (here, upper, full, {})
+            for (k, a), cell in zip(digits, by_digit):
+                upper[a][k], here[a][k] = cell
+            yield high, top, (here, upper, full, {})
             if low == high:
                 break
             low = low - high & high
 
 
-def ht_trace(index: int, alphabet: tuple[str, ...], tau: tuple[int, ...],
-             there: tuple[frozenset[str], ...] | None = None) -> TimedHTTrace:
-    """The trace at this lane index of the `ht_tables` layout."""
-    atoms, offsets, radix, _, _ = _layout(alphabet, there, len(tau))
-
-    def states(least: int) -> tuple[frozenset[str], ...]:  # the atoms of digit >= least
-        return tuple(frozenset(a for i, a in enumerate(state)
-                               if index // radix ** (offset + i) % radix >= least)
-                     for state, offset in zip(atoms, offsets))
-
-    return TimedHTTrace(states(radix - 1), there if there is not None else states(1), tau)
+def lane_trace(cells: tuple, lane: int, tau: tuple[int, ...]) -> TimedHTTrace:
+    """The HT trace on bit `lane` of a chunk's here-cells (cells[0]) and there-cells (cells[1])."""
+    here, there = (tuple(frozenset(a for a, bits in world.items() if bits[k] >> lane & 1)
+                         for k in range(len(tau))) for world in cells[:2])
+    return TimedHTTrace(here, there, tau)
 
 
-def first_trace(program: Program, alphabet: tuple[str, ...], select,
+def first_trace(program: Program, alphabet: tuple[str, ...], sides: tuple,
                 there: tuple[frozenset[str], ...] | None = None) -> TimedHTTrace | None:
-    """The first `ht_tables` trace in search order whose lane select(sat) sets, if
-    any; sat(roots) has the lanes of a chunk where those roots hold at state 0.
+    """The first `ht_tables` trace in search order on which an odd number of
+    `sides`, each a list of roots, hold at state 0 (with one side: on which
+    its roots hold), if any.
 
     Search order runs over the there-sequences, then the here-sequences, each
     read as the binary number of its cells.  A chunk's first hit is found by
@@ -499,17 +505,15 @@ def first_trace(program: Program, alphabet: tuple[str, ...], select,
     here-cells.  Of the chunks of one outer there-pattern, the hit with the
     least inner there-pattern wins, the earliest on a tie."""
     best = None
-    for first, high, masks, cells in ht_tables(program, alphabet, there):
+    for high, masks, cells in ht_tables(program, alphabet, there):
         if best and best[2] != high:
             break
-
-        def sat(roots) -> int:
+        bits = 0
+        for roots in sides:
             out = cells[2]
             for root in roots:
                 out = out and out & program.chunk(root, 0, *cells)
-            return out
-
-        bits = select(sat)
+            bits ^= out
         if bits:
             for side in (0, 1):  # keep the lanes whose cell is 0, if any, the top digit first
                 for mask in masks:
@@ -518,10 +522,10 @@ def first_trace(program: Program, alphabet: tuple[str, ...], select,
             lane = bits.bit_length() - 1
             inner = [upper >> lane & 1 for upper, _ in masks]
             if best is None or inner < best[0]:
-                best = inner, first + lane, high
+                best = inner, lane_trace(cells, lane, program.tau), high
             if inner == [upper & 1 for upper, _ in masks]:  # lane 0's, the least there is
                 break
-    return None if best is None else ht_trace(best[1], alphabet, program.tau, there)
+    return None if best is None else best[1]
 
 
 def is_model(trace: TimedHTTrace, theory: Theory) -> bool:

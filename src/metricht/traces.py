@@ -7,10 +7,9 @@ all derived traces (reversal, refinements) are fresh objects.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
-from operator import getitem, le
+from itertools import product
+from operator import le
 from typing import Iterable, Iterator
 
 from .parser import ATOM_RE
@@ -109,37 +108,19 @@ def _subsets(atoms: tuple[str, ...]) -> list[frozenset[str]]:
             for mask in range(1 << len(atoms))]
 
 
-def _time_maps(length: int, max_time: int, strict: bool) -> Iterator[tuple[int, ...]]:
-    """Time maps from 0, ascending (non-decreasing unless strict), in lexicographic order."""
-    if length == 1:  # `combinations` would first copy the range of times
-        return iter([(0,)])
-    later = (combinations(range(1, max_time + 1), length - 1) if strict
-             else combinations_with_replacement(range(max_time + 1), length - 1))
-    return ((0,) + rest for rest in later)
-
-
-def region_keys(bounds: EnumerationBounds, program) -> Iterator[tuple[tuple[int, ...], tuple]]:
-    """Each time map within bounds, in enumeration order, with its region key.
-
-    Satisfaction at state 0 reads time only through tests of tau[j] - tau[i]
-    (i < j) against the windows of the operators that reach the pair (i, j)
-    from state 0.  The key holds which of them hold, pair by pair
-    (`semantics.Program.pair_tables`), so maps with equal keys (one region
-    class) give the same verdict for every state sequence.  Per length, each
-    pair's table is read once by every difference up to the cap, the lesser of
-    M, the last of `endpoints`, and max_time: a larger difference has the rank
-    of M, and none exceeds max_time.
-    """
-    endpoints, ranks = program.endpoints, []
-    cap = min(endpoints[-1] if endpoints else 0, bounds.max_time)
-    for length in bounds.lengths():
-        tables = program.pair_tables(length)
-        if tables and not ranks:  # the first length with a state pair
-            ranks = [bisect_right(endpoints, d) for d in range(cap + 1)]
-        tables = [list(map(table.__getitem__, ranks)) for table in tables]
-        for times in _time_maps(length, bounds.max_time, bounds.strict_only):
-            diffs = [t - s if t - s < cap else cap for j, t in enumerate(times) for s in times[:j]]
-            yield times, tuple(map(getitem, tables, diffs))
+def time_maps(length: int, max_time: int, strict: bool) -> Iterator[tuple[int, ...]]:
+    """Time maps from 0, ascending (non-decreasing unless strict), in lexicographic order,
+    by an odometer: the last stamp below its most steps up, and the stamps after it restart
+    just above it (strict) or at it.  No list of stamps is built up front."""
+    step, last = (1 if strict else 0), length - 1
+    times = [k * step for k in range(length)]
+    while times[last] <= max_time and not times[0]:  # the step past the last map moves state 0
+        head = tuple(times[:last])  # the last stamp runs through its range; state 0's is 0
+        yield from map(head.__add__, zip(range(times[last], max_time + 1 if last else 1)))
+        j = max(last - 1, 0)
+        while j and times[j] == max_time - step * (last - j):  # at its most
+            j -= 1
+        times[j:] = [times[j] + 1 + step * i for i in range(length - j)]
 
 
 def state_sequences(alphabet: tuple[str, ...], length: int) -> Iterator[tuple]:
@@ -154,7 +135,7 @@ def enumerate_total_traces(bounds: EnumerationBounds) -> Iterator[TimedHTTrace]:
     leftmost state varying slowest.
     """
     for length in bounds.lengths():
-        for times in _time_maps(length, bounds.max_time, bounds.strict_only):
+        for times in time_maps(length, bounds.max_time, bounds.strict_only):
             for states in state_sequences(bounds.alphabet, length):
                 yield TimedHTTrace(states, states, times)
 

@@ -13,13 +13,18 @@ from conftest import gen_formula, make_trace, time_limit
 from metricht.cli import main
 from metricht.equilibrium import (
     EquivVerdict, bounded_equiv, enumerate_equilibrium, enumerate_models, is_equilibrium,
+    stream_models,
 )
 from metricht.parser import parse_theory
-from metricht.semantics import Program, ht_tables, is_model, mht_sat, strictness_axiom
-from metricht.syntax import Theory, neg
+from metricht.semantics import (
+    Program, ht_tables, is_model, mht_sat, region_keys, strictness_axiom,
+)
+from metricht.syntax import (
+    And, Implies, Next, Or, Prev, Release, Since, Theory, Trigger, Until, neg,
+)
 from metricht.traces import (
-    EnumerationBounds, TimedHTTrace, enumerate_total_traces, refinements, region_keys,
-    state_sequences, total_trace,
+    EnumerationBounds, TimedHTTrace, enumerate_total_traces, refinements, state_sequences,
+    total_trace,
 )
 
 RULES = parse_theory(
@@ -346,6 +351,76 @@ def test_region_keys_do_not_grow_with_the_time_bound():
     assert [key for _, key in far[30:]] == [far[30][1]] * 370  # every difference from 31 on
 
 
+def test_searches_start_at_once_at_any_time_bound():
+    # the time maps are walked, not listed, and each pair's table stops at the
+    # last endpoint: up to time 10**20 the first models and the first region
+    # key come at once, in little memory, and match those of a small bound
+    bounds = EnumerationBounds(TRAFFIC_ATOMS, 2, 10 ** 20, exact_len=True)
+    small = replace(bounds, max_time=40)
+    program = Program(WITH_PUSH.formulas)
+    tracemalloc.start()
+    try:
+        with time_limit(5, "the first answers up to time 10**20"):
+            models = list(islice(stream_models(RULES, bounds, True), 3))
+            first = next(region_keys(bounds, program))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert models == list(islice(stream_models(RULES, small, True), 3))
+    assert first == next(region_keys(small, program))
+
+
+def _window_tests(phi, length):
+    """Each (window, i, j), i < j, that an X/Y/U/R/S/T reached from state 0 of phi
+    tests on the states i and j, walking the formula itself."""
+    tests, seen, todo = set(), set(), [(phi, 0)]
+    while todo:
+        phi, k = todo.pop()
+        if (id(phi), k) in seen:
+            continue
+        seen.add((id(phi), k))
+        kind = type(phi)
+        if kind in (Next, Prev):
+            j = k + 1 if kind is Next else k - 1
+            if 0 <= j < length:
+                tests.add(((phi.interval.lower, phi.interval.upper), min(j, k), max(j, k)))
+                todo.append((phi.arg, j))
+        elif kind in (Until, Release, Since, Trigger):
+            states = range(k, length) if kind in (Until, Release) else range(k + 1)
+            tests.update(((phi.interval.lower, phi.interval.upper), min(j, k), max(j, k))
+                         for j in states if j != k)
+            todo += [(operand, j) for operand in (phi.lhs, phi.rhs) for j in states]
+        elif kind in (And, Or, Implies):
+            todo += [(phi.lhs, k), (phi.rhs, k)]
+    return tests
+
+
+def test_pair_tables_match_a_window_test_at_every_difference():
+    # bit w of a pair's table at difference d: the w-th window of the program
+    # (by its nodes, last first) is tested on the pair and holds at d; caps
+    # at, around and past M, the last endpoint
+    rng, checked = random.Random(61), 0
+    for _ in range(60):
+        formulas = tuple(gen_formula(rng, rng.randint(1, 4)) for _ in range(rng.randint(1, 2)))
+        program = Program(formulas)
+        if not program.endpoints:
+            continue
+        windows = list(dict.fromkeys(w for _, w, _, _ in reversed(program.nodes)
+                                     if type(w) is tuple))
+        top = program.endpoints[-1]
+        for length in range(1, 5):
+            tests = set().union(*(_window_tests(phi, length) for phi in formulas))
+            for cap in sorted({0, 1, top - 1, top, top + 5} - {-1}):
+                expected = [[sum(1 << w for w, (lo, hi) in enumerate(windows)
+                                 if ((lo, hi), i, j) in tests and lo <= d
+                                 and (hi is None or d < hi)) for d in range(cap + 1)]
+                            for j in range(length) for i in range(j)]
+                assert program.pair_tables(length, cap) == expected, (formulas, length, cap)
+                checked += sum(map(len, expected))
+    assert checked > 5000
+
+
 def test_searches_on_sparse_time_match_the_oracle_and_the_plain_search(monkeypatch):
     # windows of 40 over time maps up to 100: 8 of the 22 region classes are too
     # sparse for time positions, so `models` runs them on the bit-per-state scan
@@ -471,7 +546,7 @@ def test_refinement_scan_indexes_only_the_atoms_of_the_total():
     # refinements in one chunk, not 2**56 indices (every atom in every state)
     total = total_trace([{"pqrs"[k % 4]} for k in range(14)], range(14))
     chunks = islice(ht_tables(Program(()).at(total.times), total.atoms(), total.there), 2)
-    assert [(base, cells[2]) for base, _, _, cells in chunks] == [(0, (1 << 2 ** 14) - 1)]
+    assert [cells[2] for _, _, cells in chunks] == [(1 << 2 ** 14) - 1]
 
     with time_limit(20, "the refinement scan"):
         for text in ("G (p | q | r | s)", "F[5..9] s", "G (p -> X q)"):

@@ -77,6 +77,26 @@ def test_simplify_examples():
     assert simplify_fom(Forall(Var("v"), Implies(Pred("p", Var("v")), top))) == top
 
 
+def test_rename_skips_the_free_names():
+    # bound variables get x, y, z, x1, ... in traversal order, none of them the
+    # name of a free variable, whether that is met after the binder that would
+    # take it or not at all; a binder's name is restored after its body, so a
+    # shadowed name inside and a free one beyond keep theirs
+    a, b, c, x = Var("a"), Var("b"), Var("c"), Var("x")
+    cases = [
+        (Forall(a, Exists(b, fom.And(Diff(a, 3, b), Pred("p", x)))), "!y ?z (y <={3} z & p(x))"),
+        (fom.And(Forall(a, Pred("p", a)), Pred("q", x)), "!y p(y) & q(x)"),
+        (fom.And(Forall(a, Exists(b, Forall(c, fom.And(Pred("p", a), Diff(b, 0, c))))),
+                 fom.And(Pred("q", Var("y")), Pred("r", Var("x1")))),
+         "!x ?z !y1 (p(x) & z <={0} y1) & (q(y) & r(x1))"),
+        (fom.And(Forall(a, fom.And(Pred("p", a), Exists(a, Pred("q", a)))), Pred("r", a)),
+         "!x (p(x) & ?y q(y)) & r(a)"),
+        (Forall(a, Pred("p", Var("w"))), "!x p(w)"),
+    ]
+    for phi, expected in cases:
+        assert format_fom(fom._rename(phi)) == expected
+
+
 def test_simplify_negated_difference_flip():
     flipped = simplify_fom(fom.fneg(Diff(Var("x"), -15, Var("y"))))
     assert flipped == Diff(Var("y"), 14, Var("x"))

@@ -9,7 +9,7 @@ from conftest import (
 )
 from metricht.parser import parse_formula, parse_theory
 from metricht.semantics import (
-    Program, em_theory, ht_tables, ht_trace, is_model, mht_sat, state_bits, strictness_axiom,
+    Program, em_theory, ht_tables, is_model, lane_trace, mht_sat, state_bits, strictness_axiom,
 )
 from metricht.syntax import (
     And, Atom, BOT, FULL, Implies, Interval, Next, Or, Prev, Release, Since, Theory,
@@ -215,8 +215,8 @@ def test_tables_match_oracle_exhaustively():
     checked = 0
     for times in {times for _, _, times in oracle.bounded_space(atoms, 3, 4, strict=False)}:
         program = Program(formulas).at(times)  # one per time map, for both runs
-        for base, _, _, cells in ht_tables(program, atoms):
-            traces = [(i, ht_trace(base + i, atoms, times)) for i in range(cells[2].bit_length())]
+        for _, _, cells in ht_tables(program, atoms):
+            traces = [(i, lane_trace(cells, i, times)) for i in range(cells[2].bit_length())]
             # every HT trace with this time map, once, here != there included
             assert len({(t.here, t.there) for _, t in traces}) == 3 ** (2 * len(times))
             compiled = [list(program.bits(t.here, t.there)) for _, t in traces]
@@ -237,8 +237,9 @@ def test_an_l3_time_map_over_two_atoms_is_729_ht_lanes():
     # distinct HT trace (`TimedHTTrace` refuses a here-state outside its there-state)
     times, atoms = (0, 1, 2), ("p", "q")
     chunks = list(ht_tables(Program((Atom("p"),)).at(times), atoms))
-    assert [(first, cells[2]) for first, _, _, cells in chunks] == [(0, (1 << 729) - 1)]
-    assert len({(t.here, t.there) for t in (ht_trace(i, atoms, times) for i in range(729))}) == 729
+    assert [cells[2] for _, _, cells in chunks] == [(1 << 729) - 1]
+    traces = [lane_trace(chunks[0][2], i, times) for i in range(729)]
+    assert len({(t.here, t.there) for t in traces}) == 729
 
 
 def test_table_runs_of_chains_and_shared_nodes_match_oracle():
@@ -260,8 +261,8 @@ def test_table_runs_of_chains_and_shared_nodes_match_oracle():
     atoms, checked = ("p", "q"), 0
     for times in {times for _, _, times in oracle.bounded_space(atoms, 3, 2, strict=False)}:
         program = Program(formulas).at(times)
-        for base, _, _, cells in ht_tables(program, atoms):
-            traces = [(i, ht_trace(base + i, atoms, times)) for i in range(cells[2].bit_length())]
+        for _, _, cells in ht_tables(program, atoms):
+            traces = [(i, lane_trace(cells, i, times)) for i in range(cells[2].bit_length())]
             for phi, root in zip(formulas, program.roots):
                 for k in range(len(times)):
                     bits = program.chunk(root, k, *cells)

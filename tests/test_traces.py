@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from conftest import gaps, gen_trace, make_trace, total_part, traces_st
 from metricht.traces import (
     EnumerationBounds, TimedHTTrace, enumerate_total_traces, make_alphabet,
-    refinements, reverse_trace, total_trace, trace_from_json, trace_to_json,
+    refinements, reverse_trace, time_maps, total_trace, trace_from_json, trace_to_json,
 )
 
 
@@ -139,6 +140,19 @@ def test_enumeration_non_strict():
     bounds = EnumerationBounds(("p",), 2, 1, strict_only=False)
     times = {t.times for t in enumerate_total_traces(bounds)}
     assert (0, 0) in times and (0, 1) in times
+
+
+def test_time_maps_follow_the_itertools_order():
+    # the odometer yields what combinations (strict) and combinations with
+    # replacement (non-strict) of the later stamps do, in their order; it
+    # walks a long map in a loop, not a frame per state
+    for length in range(1, 6):
+        for max_time in range(8):
+            for strict in (True, False):
+                later = (combinations(range(1, max_time + 1), length - 1) if strict
+                         else combinations_with_replacement(range(max_time + 1), length - 1))
+                assert list(time_maps(length, max_time, strict)) == [(0, *t) for t in later]
+    assert next(time_maps(100_000, 1, False)) == (0,) * 100_000
 
 
 def test_bounds_validation():
