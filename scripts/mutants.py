@@ -48,9 +48,20 @@ PAIRS = "tests/test_equilibrium.py::test_pair_tables_match_a_window_test_at_ever
 LANES = "tests/test_semantics.py::test_an_l3_time_map_over_two_atoms_is_729_ht_lanes"
 MAPS = "tests/test_traces.py::test_time_maps_follow_the_itertools_order"
 RENAME = "tests/test_fom.py::test_rename_skips_the_free_names"
+TOKENS = ("tests/test_tokenizer_differential.py::"
+          "test_random_and_mutated_texts_tokenize_as_the_reference_does")
+CAPPED = "tests/test_equilibrium.py::test_equiv_searches_each_length_up_to_its_capped_time"
+CORRESPOND = "tests/test_fom.py::test_model_correspondence"
+SIMPLIFY = "tests/test_fom.py::test_simplify_preserves_satisfaction"
+GOLDEN = "tests/test_fom.py::test_push_rule_translates_to_golden_sentence"
+EXAMPLES = "tests/test_fom.py::test_simplify_examples"
 
-# `bounded_equiv`'s loop over region classes (`stream_models` has one too)
-KEYED, SEARCHED = "for times, key in region_keys(bounds, ", ":\n        if key in searched:"
+# `bounded_equiv`'s region classes, length by length
+KEYED = "for pair in region_keys(span, {})"
+
+# `fom._simp` of an Or with a falsum operand: the operand it returns
+OR_BOT = ("if type(lhs) is Bot:\n            return {}\n"
+          "        if type(rhs) is Bot:\n            return {}")
 
 # the sparse scan's loop body: the failure at k, then k's bit
 FAIL = '            fail = k if lhs[k] == "0" else fail\n'
@@ -127,8 +138,8 @@ CATALOGUE = [
     # the left theory only
     ("metricht/semantics.py", "for x in detail if x is not None", "for x in detail[:1]",
      [REGIONS]),
-    ("metricht/equilibrium.py", KEYED + "program)" + SEARCHED,
-     KEYED + "Program(left.formulas))" + SEARCHED, [REGIONS]),
+    ("metricht/equilibrium.py", KEYED.format("program"),
+     KEYED.format("Program(left.formulas)"), [REGIONS]),
     # `pair_tables`: Y tested on the pair after its state; S/T or U/R operands
     # sent only to the node's own states; a window's upper bound held
     ("metricht/semantics.py", "side, reach, here = 0, here >> 1, here >> 1",
@@ -174,6 +185,24 @@ CATALOGUE = [
     ("metricht/traces.py", "times[j] + 1 + step * i", "times[j] + 1", [MAPS]),
     # `fom._rename`: a bound variable left on a free variable's name
     ("metricht/fom.py", "if made & free else out", "if False else out", [RENAME]),
+    # a token's offset one character late
+    ("metricht/parser.py", "return sum(map(len, self.parts[:2 * j + 1]))",
+     "return sum(map(len, self.parts[:2 * j + 1])) + 1", [TOKENS]),
+    # one swapped branch in each type dispatch of `fom`: Since translated as
+    # Trigger; an Or's falsum operand kept in place of the other; a #true conjunct
+    # taken for #false; disjunctions flattened as conjunctions; a predicate renamed
+    # as a constant is, left as it is
+    ("metricht/fom.py", "if kind is mf.Until or kind is mf.Since:",
+     "if kind is mf.Until or kind is mf.Trigger:", [CORRESPOND]),
+    ("metricht/fom.py", OR_BOT.format("rhs", "lhs"), OR_BOT.format("lhs", "rhs"), [SIMPLIFY]),
+    ("metricht/fom.py", "elif kind is Bot:\n                return BOT",
+     "elif kind is Top:\n                return BOT", [EXAMPLES]),
+    ("metricht/fom.py", "if type(phi) is And else [phi]", "if type(phi) is Or else [phi]",
+     [GOLDEN]),
+    ("metricht/fom.py", "return Pred(node.name, term(node.arg, env))", "return node", [RENAME]),
+    # `equiv` up to (L - 1) * M: no strict map of two or more states when M = 0
+    ("metricht/equilibrium.py", "gap = max(program.endpoints[-1] if program.endpoints else 0, 1)",
+     "gap = program.endpoints[-1] if program.endpoints else 0", [CAPPED]),
     # `models` printing only once the whole search is done
     ("metricht/cli.py", "enumerate(stream_models(theory, bounds, args.equilibrium), start=1)",
      "enumerate(list(stream_models(theory, bounds, args.equilibrium)), start=1)", [STREAMS]),

@@ -18,7 +18,7 @@ from .parser import parse_formula, parse_theory
 from .rewrite import PASSES, printed_size, range_split
 from .semantics import Program, is_model, mht_sat  # noqa: F401  (wrapped by bench/tracer.py)
 from .syntax import format_formula
-from .traces import EnumerationBounds, trace_from_json, trace_to_json
+from .traces import EnumerationBounds, make_alphabet, trace_from_json, trace_to_json
 from .traces import enumerate_total_traces  # noqa: F401  (bench/tracer.py wraps it here)
 
 
@@ -36,11 +36,15 @@ def _load(path: str, parse):
 
 
 def _bounds(args, theories) -> EnumerationBounds:
-    atoms = set()
+    extra = [a.strip() for a in args.alphabet.split(",") if a.strip()]
+    atoms = set(_naming(f"--alphabet {args.alphabet}", make_alphabet, extra))
     for theory in theories:
         atoms.update(theory.atoms())
-    atoms.update(a.strip() for a in args.alphabet.split(",") if a.strip())
-    max_time = args.max_time if args.max_time is not None else max(args.max_len - 1, 0)
+    if args.max_len < 1:
+        raise ValueError(f"--max-len {args.max_len}: must be at least 1")
+    max_time = args.max_time if args.max_time is not None else args.max_len - 1
+    if max_time < 0:
+        raise ValueError(f"--max-time {max_time}: must be non-negative")
     return EnumerationBounds(atoms, args.max_len, max_time,
                              strict_only=not args.non_strict,
                              exact_len=getattr(args, "exact_len", False))

@@ -12,7 +12,7 @@ on a whole chunk of traces at once (`semantics.first_trace`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .semantics import Program, first_bit, first_trace, region_keys
@@ -101,13 +101,18 @@ def bounded_equiv(left: Theory, right: Theory, bounds: EnumerationBounds) -> Equ
     reported counterexample is definitive; 'equivalent' only means no
     difference exists inside the bounded space.  Only the first time map of
     each region class (over both theories) is searched: a later member shows
-    a difference only if that first one already did.  One program, compiled
-    once, holds both theories.
+    a difference only if that first one already did.  Every gap of that first
+    map is at most max(M, 1), M the last of `Program.endpoints`: a longer gap
+    cut to it keeps every window test, so length L is searched only up to
+    time (L - 1) * max(M, 1).  One program, compiled once, holds both theories.
     """
     searched, split = set(), len(left.formulas)
     program = Program(left.formulas + right.formulas)
     lhs, rhs = program.roots[:split], program.roots[split:]
-    for times, key in region_keys(bounds, program):
+    gap = max(program.endpoints[-1] if program.endpoints else 0, 1)
+    spans = (replace(bounds, max_len=n, exact_len=True,  # up to the time n states need
+                     max_time=min(bounds.max_time, (n - 1) * gap)) for n in bounds.lengths())
+    for times, key in (pair for span in spans for pair in region_keys(span, program)):
         if key in searched:
             continue
         searched.add(key)

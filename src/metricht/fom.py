@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations, count
 from typing import Iterable
 
@@ -25,7 +25,7 @@ from .traces import TimedHTTrace
 # --------------------------------------------------------------------------
 # Terms and formulas
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
@@ -33,7 +33,7 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     value: int
 
@@ -76,13 +76,13 @@ class Bot(_Constant):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pred(FOMFormula):
     name: str
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diff(FOMFormula):
     """left - right <= delta; delta is an integer or None for the unbounded bound."""
 
@@ -120,31 +120,21 @@ def fneg(phi: FOMFormula) -> FOMFormula:
 
 
 def conj(parts: Iterable[FOMFormula]) -> FOMFormula:
-    parts = list(parts)
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return reduce(And, parts)
 
 
-# Comparison abbreviations.  le/lt/eq/ne expand into difference atoms; the
-# strict bound lt_bound(t1, d, t2) renders "t1 - t2 < d" and is truth for the
+# Comparison abbreviations.  le/lt expand into difference atoms; the strict
+# bound lt_bound(t1, d, t2) renders "t1 - t2 < d" and is truth for the
 # unbounded d, the one comparison the difference atoms cannot spell directly.
 
 def le(a: Term, b: Term) -> FOMFormula:
     return Diff(a, 0, b)
 
 
-def eq(a: Term, b: Term) -> FOMFormula:
-    return And(le(a, b), le(b, a))
-
-
-def ne(a: Term, b: Term) -> FOMFormula:
-    return fneg(eq(a, b))
-
-
 def lt(a: Term, b: Term) -> FOMFormula:
-    return And(le(a, b), ne(a, b))
+    """a <= b & ~(a <= b & b <= a), with one node for both a <= b."""
+    first = le(a, b)
+    return And(first, fneg(And(first, le(b, a))))
 
 
 def lt_bound(a: Term, d: int | None, b: Term) -> FOMFormula:
@@ -176,34 +166,37 @@ def _bounds(iv: mf.Interval, x: Term, y: Term, future: bool) -> list[FOMFormula]
     return [lt_bound(x, iv.upper, y), Diff(y, -iv.lower, x)]
 
 
+_CONNECTIVES = {mf.And: And, mf.Or: Or, mf.Implies: Implies}
+
+
 def _tr(phi: mf.Formula, x: Term, fresh) -> FOMFormula:
-    if isinstance(phi, mf.Bottom):
-        return BOT
-    if isinstance(phi, mf.Atom):
+    kind = type(phi)
+    if kind is mf.Atom:
         return Pred(phi.name, x)
-    if isinstance(phi, (mf.And, mf.Or, mf.Implies)):
-        cls = {mf.And: And, mf.Or: Or, mf.Implies: Implies}[type(phi)]
-        return cls(_tr(phi.lhs, x, fresh), _tr(phi.rhs, x, fresh))
+    if kind in _CONNECTIVES:
+        return _CONNECTIVES[kind](_tr(phi.lhs, x, fresh), _tr(phi.rhs, x, fresh))
+    if kind is mf.Bottom:
+        return BOT
 
     k = next(fresh)
     y, z = Var(f"y{k}"), Var(f"z{k}")
-    future = isinstance(phi, (mf.Next, mf.Until, mf.Release))
+    future = kind is mf.Next or kind is mf.Until or kind is mf.Release
 
-    if isinstance(phi, (mf.Next, mf.Prev)):
+    if kind is mf.Next or kind is mf.Prev:
         adjacent = [lt(x, y), fneg(Exists(z, And(lt(x, z), lt(z, y))))] if future \
             else [lt(y, x), fneg(Exists(z, And(lt(y, z), lt(z, x))))]
         return Exists(y, conj(adjacent + _bounds(phi.interval, x, y, future)
                               + [_tr(phi.arg, y, fresh)]))
-    if isinstance(phi, mf.KERNEL_BINARY):
-        guard = [le(x, y) if future else le(y, x)] + _bounds(phi.interval, x, y, future)
-        between = And(le(x, z), lt(z, y)) if future else And(lt(y, z), le(z, x))
-        left = _tr(phi.lhs, z, fresh)  # before the rhs: fixes the fresh-variable numbering
-        if isinstance(phi, (mf.Until, mf.Since)):
-            chain = Forall(z, Implies(between, left))
-            return Exists(y, conj(guard + [_tr(phi.rhs, y, fresh), chain]))
-        escape = Exists(z, And(between, left))
-        return Forall(y, Implies(conj(guard), Or(_tr(phi.rhs, y, fresh), escape)))
-    raise TypeError(f"not a formula node: {phi!r}")
+    if kind not in mf.KERNEL_BINARY:
+        raise TypeError(f"not a formula node: {phi!r}")
+    guard = [le(x, y) if future else le(y, x)] + _bounds(phi.interval, x, y, future)
+    between = And(le(x, z), lt(z, y)) if future else And(lt(y, z), le(z, x))
+    left = _tr(phi.lhs, z, fresh)  # before the rhs: fixes the fresh-variable numbering
+    if kind is mf.Until or kind is mf.Since:
+        chain = Forall(z, Implies(between, left))
+        return Exists(y, conj(guard + [_tr(phi.rhs, y, fresh), chain]))
+    escape = Exists(z, And(between, left))
+    return Forall(y, Implies(conj(guard), Or(_tr(phi.rhs, y, fresh), escape)))
 
 
 # --------------------------------------------------------------------------
@@ -220,60 +213,60 @@ def simplify_fom(phi: FOMFormula) -> FOMFormula:
 
 
 def _conjuncts(phi: FOMFormula) -> list[FOMFormula]:
-    if isinstance(phi, And):
-        return _conjuncts(phi.lhs) + _conjuncts(phi.rhs)
-    return [phi]
+    return _conjuncts(phi.lhs) + _conjuncts(phi.rhs) if type(phi) is And else [phi]
 
 
 def _and(simplified: Iterable[FOMFormula]) -> FOMFormula:
     """The conjunction of simplified formulas, flattened, so that one pass is a fixpoint."""
     parts, diffs = [], {}  # diffs: per (left, right), the index of its bound in parts
-    for part in (c for phi in simplified for c in _conjuncts(phi)):
-        if isinstance(part, Bot):
-            return BOT
-        if isinstance(part, Top) or part in parts:
-            continue
-        if isinstance(part, Diff):
-            key = (part.left, part.right)
-            if key in diffs:
-                if part.delta < parts[diffs[key]].delta:
-                    parts[diffs[key]] = part
+    for phi in simplified:
+        for part in _conjuncts(phi) if type(phi) is And else (phi,):
+            kind = type(part)
+            if kind is Diff:  # the tightest bound per pair of terms, where the first stood
+                at = diffs.setdefault((part.left, part.right), len(parts))
+                if at < len(parts):
+                    if part.delta < parts[at].delta:
+                        parts[at] = part
+                    continue
+            elif kind is Bot:
+                return BOT
+            elif kind is Top or part in parts:
                 continue
-            diffs[key] = len(parts)
-        parts.append(part)
+            parts.append(part)
     return conj(parts) if parts else TOP
 
 
 def _simp(phi: FOMFormula) -> FOMFormula:
-    if isinstance(phi, Diff):
-        return TOP if phi.delta is None else phi
-    if isinstance(phi, And):
+    kind = type(phi)
+    if kind is And:
         return _and(map(_simp, _conjuncts(phi)))
-    if isinstance(phi, Or):
+    if kind is Diff:
+        return TOP if phi.delta is None else phi
+    if kind is Implies:
         lhs, rhs = _simp(phi.lhs), _simp(phi.rhs)
-        if isinstance(lhs, Top) or isinstance(rhs, Top):
+        if type(rhs) is Top or type(lhs) is Bot:
             return TOP
-        if isinstance(lhs, Bot):
+        if type(lhs) is Top:
             return rhs
-        if isinstance(rhs, Bot):
-            return lhs
-        return Or(lhs, rhs)
-    if isinstance(phi, Implies):
-        lhs, rhs = _simp(phi.lhs), _simp(phi.rhs)
-        if isinstance(rhs, Top) or isinstance(lhs, Bot):
-            return TOP
-        if isinstance(lhs, Top):
-            return rhs
-        if isinstance(lhs, Diff) and isinstance(rhs, Bot):
+        if type(lhs) is Diff and type(rhs) is Bot:
             return Diff(lhs.right, -lhs.delta - 1, lhs.left)
-        if isinstance(rhs, Implies):
+        if type(rhs) is Implies:
             return Implies(_and((lhs, rhs.lhs)), rhs.rhs)
-        return Implies(lhs, rhs)
-    if isinstance(phi, (Forall, Exists)):
+        return phi if lhs is phi.lhs and rhs is phi.rhs else Implies(lhs, rhs)
+    if kind is Or:
+        lhs, rhs = _simp(phi.lhs), _simp(phi.rhs)
+        if type(lhs) is Top or type(rhs) is Top:
+            return TOP
+        if type(lhs) is Bot:
+            return rhs
+        if type(rhs) is Bot:
+            return lhs
+        return phi if lhs is phi.lhs and rhs is phi.rhs else Or(lhs, rhs)
+    if kind is Forall or kind is Exists:
         body = _simp(phi.body)
-        if isinstance(body, (Top, Bot)):
+        if type(body) is Top or type(body) is Bot:
             return body
-        return type(phi)(phi.var, body)
+        return phi if body is phi.body else kind(phi.var, body)
     return phi
 
 
@@ -293,28 +286,29 @@ def _rename(phi: FOMFormula, taken: frozenset[str] = frozenset()) -> FOMFormula:
                 made.add(name)
                 return Var(name)
 
-    def term(t: Term, env: dict[Var, Var]) -> Term:
-        if isinstance(t, Var) and t not in env:
+    def term(t: Term, env: dict[str, Var]) -> Term:
+        if type(t) is Var and t.name not in env:
             free.add(t.name)
-        return env.get(t, t)
+        return env.get(t.name, t) if type(t) is Var else t
 
-    def walk(node: FOMFormula, env: dict[Var, Var]) -> FOMFormula:
-        if isinstance(node, (Top, Bot)):
-            return node
-        if isinstance(node, Pred):
-            return Pred(node.name, term(node.arg, env))
-        if isinstance(node, Diff):
+    def walk(node: FOMFormula, env: dict[str, Var]) -> FOMFormula:
+        kind = type(node)
+        if kind is And or kind is Or or kind is Implies:
+            return kind(walk(node.lhs, env), walk(node.rhs, env))
+        if kind is Diff:
             return Diff(term(node.left, env), node.delta, term(node.right, env))
-        if isinstance(node, (And, Or, Implies)):
-            return type(node)(walk(node.lhs, env), walk(node.rhs, env))
-        var, new = node.var, fresh()
+        if kind is Pred:
+            return Pred(node.name, term(node.arg, env))
+        if kind is Top or kind is Bot:
+            return node
+        var, new = node.var.name, fresh()
         outer, env[var] = env.get(var), new  # restored after the body: one dict for all binders
         body = walk(node.body, env)
         if outer is None:
             del env[var]
         else:
             env[var] = outer
-        return type(node)(new, body)
+        return kind(new, body)
 
     out = walk(phi, {})
     return _rename(phi, frozenset(free)) if made & free else out
@@ -367,33 +361,29 @@ class Program:
         number, points, done = {}, {}, []  # done: (number, variables, reads) per operand
         scopes = {}  # per variable name, the variables of its binders in scope, innermost last
         stack = [(phi, 0, False) for phi in reversed(formulas)]
+
+        def term(t):  # a time point or a variable
+            return (scopes.get(t.name) or ((0, t.name),))[-1] if type(t) is Var \
+                else points.setdefault(t.value, t.value)
+
         while stack:  # explicit, so nesting costs no Python frames
             phi, depth, ready = stack.pop()
             kind = type(phi)
             if kind is And or kind is Or or kind is Implies:
                 if not ready:
-                    stack += [(phi, depth, True), (phi.rhs, depth, False), (phi.lhs, depth, False)]
+                    stack += (phi, depth, True), (phi.rhs, depth, False), (phi.lhs, depth, False)
                     continue
                 (b, free_b, reads_b), (a, free_a, reads_a) = done.pop(), done.pop()
-                free = tuple(sorted({*free_a, *free_b}))
-                a, b = [c if f == free else number.setdefault((None, None, c, 0, free, r),
-                                                              len(number))
-                        for c, f, r in ((a, free_a, reads_a), (b, free_b, reads_b))]
+                free = free_a
+                if free_b != free_a:  # widen the operands that lack a variable
+                    free = tuple(sorted({*free_a, *free_b}))
+                    if free_a != free:
+                        a = number.setdefault((None, None, a, 0, free, reads_a), len(number))
+                    if free_b != free:
+                        b = number.setdefault((None, None, b, 0, free, reads_b), len(number))
                 node = (kind, None, a, b, free, reads_a or reads_b)
-            elif kind is Forall or kind is Exists:
-                if not ready:  # the body is compiled before this entry is popped again
-                    scopes.setdefault(phi.var.name, []).append((1, depth))
-                    stack += [(phi, depth, True), (phi.body, depth + 1, False)]
-                    continue
-                scopes[phi.var.name].pop()
-                if done[-1][1][-1:] != ((1, depth),):
-                    continue  # the body does not mention the variable: it stands for itself
-                a, free, reads = done.pop()
-                node = (kind, None, a, 0, free[:-1], reads)
-            elif kind is Pred or kind is Diff:  # a term is a time point or a variable
-                left, right = [(scopes.get(t.name) or [(0, t.name)])[-1] if type(t) is Var
-                               else points.setdefault(t.value, t.value)
-                               for t in ((phi.arg,) * 2 if kind is Pred else (phi.left, phi.right))]
+            elif kind is Pred or kind is Diff:
+                left, right = map(term, (phi.arg,) * 2 if kind is Pred else (phi.left, phi.right))
                 free = tuple(sorted({t for t in (left, right) if type(t) is tuple}))
                 if kind is Pred:
                     node = (Pred, (phi.name, None if free else left), 0, 0, free, True)
@@ -404,6 +394,16 @@ class Program:
                     flip, outer = (True, left) if left != free[-1] else (False, right)
                     delta = -phi.delta - 1 if flip else phi.delta
                     node = (Diff, (delta, outer, flip), 0, 0, free, False)
+            elif kind is Forall or kind is Exists:
+                if not ready:  # the body is compiled before this entry is popped again
+                    scopes.setdefault(phi.var.name, []).append((1, depth))
+                    stack += (phi, depth, True), (phi.body, depth + 1, False)
+                    continue
+                scopes[phi.var.name].pop()
+                if done[-1][1][-1:] != ((1, depth),):
+                    continue  # the body does not mention the variable: it stands for itself
+                a, free, reads = done.pop()
+                node = (kind, None, a, 0, free[:-1], reads)
             else:  # #true or #false; a KeyError for anything else
                 node = ({Top: Top, Bot: Bot}[kind], None, 0, 0, (), False)
             done.append((number.setdefault(node, len(number)), node[4], node[5]))
@@ -555,30 +555,33 @@ class _FOMParser(TokenCursor):
     PREFIX = {"!": Forall, "?": Exists}
     BINARY = {"->": (1, True, Implies), "|": (2, False, Or), "&": (3, False, And)}
 
-    def bind(self, tok, build):
-        if tok[0] in self.PREFIX:  # a quantifier: its variable follows
-            return partial(build, Var(self.expect("name", "a variable")[1]))
-        return build
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.terms = {}  # one term per spelling in the text
 
-    def term(self, tok) -> Term:
-        if tok[0] == "num":
-            return Point(int(tok[1]))
-        if tok[0] == "name":
-            return Var(tok[1])
-        self.fail(f"expected a term, found {tok[1] or 'end of input'!r}", tok)
+    def bind(self, j, build):
+        if self.kinds[j] in self.PREFIX:  # a quantifier: its variable follows
+            i = self.expect(j + 1, "name", "a variable")
+            return partial(build, self.term(j + 1)), i
+        return build, j + 1
 
-    def primary(self, tok) -> FOMFormula:
-        kind, text, _ = tok
-        if kind in ("#true", "#false"):
-            return TOP if kind == "#true" else BOT
-        if kind == "name" and self.peek()[0] == "(":
-            self.next()
-            arg = self.term(self.next())
-            self.expect(")")
-            return Pred(text, arg)
-        first = self.term(tok)
-        raw = self.expect("diff", "a difference bound")[1][3:-1]
-        return Diff(first, None if raw == "w" else int(raw), self.term(self.next()))
+    def term(self, j) -> Term:
+        kind, text = self.kinds[j], self.words[j]
+        if kind != "num" and kind != "name":
+            self.fail(f"expected a term, found {text or 'end of input'!r}", j)
+        return self.terms.get(text) or self.terms.setdefault(
+            text, Point(int(text)) if kind == "num" else Var(text))
+
+    def primary(self, j):
+        kind = self.kinds[j]
+        if kind == "#true" or kind == "#false":
+            return TOP if kind == "#true" else BOT, j + 1
+        if kind == "name" and self.kinds[j + 1] == "(":
+            arg = self.term(j + 2)
+            return Pred(self.words[j], arg), self.expect(j + 3, ")")
+        first, i = self.term(j), self.expect(j + 1, "diff", "a difference bound")
+        raw = self.words[j + 1][3:-1]
+        return Diff(first, None if raw == "w" else int(raw), self.term(i)), i + 1
 
 
 def parse_fom(text: str) -> FOMFormula:

@@ -24,14 +24,11 @@ from functools import partial
 from typing import NoReturn
 
 from .syntax import (
-    And, Atom, BOT, FINAL, Formula, INITIAL, Implies, IntervalError, Interval,
+    And, Atom, BOT, FINAL, FULL, Formula, INITIAL, Implies, IntervalError, Interval,
     Next, Or, Prev, Release, Since, Theory, Trigger, TRUE, Until, always,
     eventually, historically, iff, interval_from_bounds, neg, once, weak_next,
     weak_prev,
 )
-
-
-Token = tuple[str, str, int]  # (kind, text, offset); kind is the text itself for literals
 
 
 class ParseError(ValueError):
@@ -47,107 +44,102 @@ class ParseError(ValueError):
         return cls(message, line_offset + text.count("\n", 0, offset), column)
 
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<name>[A-Za-z][A-Za-z0-9_]*)
-      | (?P<num>\d+)
-      | (?P<diff><=\{(?:-?\d+|w)\})
-      | (?P<lit>\#(?:true|false|init|final)|\.\.|<->|->|<=|>=|[()\[\]~&|!?])
-      | (?P<bad>.)
+_TOKEN_RE = re.compile(  # one group, so that split() keeps the tokens between the gaps
+    r"""([()\[\]~&|!?]
+      | [A-Za-z][A-Za-z0-9_]*
+      | <(?:=\{(?:-?\d+|w)\}|->|=)
+      | \d+|->|>=|\.\.|\#(?:true|false|init|final))
     """,
     re.VERBOSE,
 )
+# a token's kind is its text for these, else "name", "diff" by its first character, or "num"
+_LITERALS = {t: t for t in "#true #false #init #final .. <-> -> <= >= ( ) [ ] ~ & | ! ?".split()}
+_LEADS = {**dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz", "name"),
+          "<": "diff"}
 
 ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")  # atom names, matched in full
 _CONSTANTS = {"#true": TRUE, "#false": BOT, "#init": INITIAL, "#final": FINAL}
-
-
-def _tokenize(text: str, line_offset: int = 1) -> list[Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind, value = m.lastgroup, m.group()
-        if kind == "bad":
-            raise ParseError.at(f"unexpected character {value!r}", text, m.start(), line_offset)
-        if kind != "ws":
-            tokens.append((value if kind == "lit" else kind, value, m.start()))
-    tokens.append(("<eof>", "", len(text)))
-    return tokens
+_OPEN = (0, None)  # an open bracket on the operator stack
 
 
 class TokenCursor:
-    """A position in the tokens of one text, and the operator-precedence parser
-    both grammars run on.  A grammar supplies its operators in `PREFIX` (text
-    -> builder) and `BINARY` (text -> precedence, right-associative, builder),
-    `bind`, which reads what follows an operator into its builder, and
-    `primary`, which reads an operand with no operator.  Prefix operators bind
-    tightest."""
+    """The tokens of one text, and the operator-precedence parser both grammars
+    run on.  One regex scan splits the text into gaps and tokens; `kinds` and
+    `words` hold each token's kind and text, then an end token ("<eof>", ""),
+    and a token's offset is worked out only for an error.  A grammar supplies
+    its operators in `PREFIX` (text -> builder) and `BINARY` (text ->
+    precedence, right-associative, builder), `bind(j, build)`, which reads what
+    follows operator token j into its builder, and `primary(j)`, which reads an
+    operand starting at token j; both return the index after what they read.
+    Every grammar reads the end token as an error, so no index passes it.
+    Prefix operators bind tightest."""
 
     def __init__(self, text: str, line_offset: int = 1):
         self.text, self.line_offset = text, line_offset
-        self.tokens = _tokenize(text, line_offset)
-        self.pos, self.last = 0, len(self.tokens) - 1
+        self.parts = parts = _TOKEN_RE.split(text)  # gap, token, gap, ..., gap
+        if "".join(parts[::2]).strip():  # a gap that is not white space
+            gap = next(j for j in range(0, len(parts), 2) if parts[j].strip())
+            at = sum(map(len, parts[:gap + 1])) - len(parts[gap].lstrip())
+            raise ParseError.at(f"unexpected character {text[at]!r}", text, at, line_offset)
+        literal, lead = _LITERALS.get, _LEADS.get
+        self.kinds = [literal(w) or lead(w[0], "num") for w in parts[1::2]] + ["<eof>"]
+        self.words = parts[1::2] + [""]
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, self.last)]
+    def offset(self, j: int) -> int:
+        """Where token j starts (the end token: where the text ends)."""
+        return sum(map(len, self.parts[:2 * j + 1]))
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if self.pos < self.last:
-            self.pos += 1
-        return tok
+    def fail(self, message: str, j: int) -> NoReturn:
+        """Raise a ParseError located at token j."""
+        raise ParseError.at(message, self.text, self.offset(j), self.line_offset)
 
-    def fail(self, message: str, tok: Token | None = None) -> NoReturn:
-        """Raise a ParseError located at `tok`, by default the next token."""
-        offset = (tok or self.peek())[2]
-        raise ParseError.at(message, self.text, offset, self.line_offset)
+    def expect(self, j: int, kind: str, what: str = "") -> int:
+        """The index after token j, which must be a `kind`."""
+        if self.kinds[j] != kind:
+            found = self.words[j] or "end of input"
+            self.fail(f"expected {what or repr(kind)}, found {found!r}", j)
+        return j + 1
 
-    def expect(self, kind: str, what: str = "") -> Token:
-        tok = self.next()
-        if tok[0] != kind:
-            self.fail(f"expected {what or repr(kind)}, found {tok[1] or 'end of input'!r}", tok)
-        return tok
-
-    def formula(self):
-        """One expression, by precedence climbing on an explicit operand stack and
-        operator stack: nesting costs no Python frame.  The operator stack holds
-        None for an open '(' (and the text's start), (None, build) for a prefix
-        operator and (precedence, build) for a binary one."""
-        operands, ops = [], [None]
+    def formula(self, i: int):
+        """The expression from token i and the index after it, by precedence climbing
+        on an explicit operand stack and operator stack: nesting costs no Python frame.
+        The operator stack holds (0, None) for an open '(' (and the expression's start),
+        (-1, build) for a prefix operator and (precedence, build) for a binary one."""
+        kinds, words, prefix, binary = self.kinds, self.words, self.PREFIX, self.BINARY
+        operands, ops = [], [_OPEN]
         while True:
-            tok = self.next()
-            if tok[0] == "(":
-                ops.append(None)
+            if kinds[i] == "(":
+                ops.append(_OPEN)
+                i += 1
                 continue
-            if tok[1] in self.PREFIX:
-                ops.append((None, self.bind(tok, self.PREFIX[tok[1]])))
+            if words[i] in prefix:
+                build, i = self.bind(i, prefix[words[i]])
+                ops.append((-1, build))
                 continue
-            operand = self.primary(tok)
+            operand, i = self.primary(i)
             while True:  # apply the prefixes and close brackets up to a binary operator
-                while ops[-1] is not None and ops[-1][0] is None:
+                while ops[-1][0] < 0:
                     operand = ops.pop()[1](operand)
-                tok = self.peek()
-                if tok[1] in self.BINARY:
+                if words[i] in binary:
                     break
-                while ops[-1] is not None:
+                while ops[-1][0] > 0:
                     operand = ops.pop()[1](operands.pop(), operand)
                 ops.pop()
                 if not ops:
-                    return operand
-                self.expect(")")
-            self.next()
-            precedence, right, build = self.BINARY[tok[1]]
-            while ops[-1] is not None and (
-                    ops[-1][0] > precedence or ops[-1][0] == precedence and not right):
+                    return operand, i
+                i = self.expect(i, ")")
+            precedence, right, build = binary[words[i]]
+            while ops[-1][0] > precedence or ops[-1][0] == precedence and not right:
                 operand = ops.pop()[1](operands.pop(), operand)
             operands.append(operand)
-            ops.append((precedence, self.bind(tok, build)))
+            build, i = self.bind(i, build)
+            ops.append((precedence, build))
 
     def parse(self):
         """Run the start rule over the whole text."""
-        result = self.formula()
-        tok = self.peek()
-        if tok[0] != "<eof>":
-            self.fail(f"unexpected trailing input {tok[1]!r}", tok)
+        result, i = self.formula(0)
+        if self.kinds[i] != "<eof>":
+            self.fail(f"unexpected trailing input {self.words[i]!r}", i)
         return result
 
 
@@ -158,64 +150,53 @@ class _Parser(TokenCursor):
               "&": (4, False, And), "U": (5, True, Until), "R": (5, True, Release),
               "S": (5, True, Since), "T": (5, True, Trigger)}
 
-    # -- intervals ---------------------------------------------------------
-
-    def interval_ahead(self) -> bool:
-        kind = self.peek()[0]
-        if kind in ("[", "<=", ">="):
+    def interval_at(self, i: int) -> bool:
+        kinds = self.kinds
+        if kinds[i] in ("[", "<=", ">="):
             return True
-        return kind == "(" and self.peek(1)[0] == "num" and self.peek(2)[0] == ".."
+        return kinds[i] == "(" and kinds[i + 1] == "num" and kinds[i + 2] == ".."
 
-    def parse_interval(self) -> Interval:
-        tok = self.next()
-        kind = tok[0]
+    def interval(self, j: int) -> tuple[Interval, int]:
+        """The interval from token j, and the index after it."""
+        kinds, words, kind = self.kinds, self.words, self.kinds[j]
         try:
+            i, lo = self.expect(j + 1, "num"), int(words[j + 1])
             if kind in ("<=", ">="):
-                num = int(self.expect("num")[1])
-                return Interval(0, num + 1) if kind == "<=" else Interval(num, None)
-            lower_open = kind == "("
-            lo = int(self.expect("num")[1])
-            if not lower_open and self.peek()[0] == "]":
-                self.next()
-                return Interval(lo, lo + 1)
-            self.expect("..")
-            nxt = self.next()
-            if nxt[0] == "num":
-                upper, closer = int(nxt[1]), self.next()
-            elif nxt[1] == "w":
-                upper, closer = None, self.next()
-            elif nxt[0] in (")", "]"):
-                upper, closer = None, nxt
+                return Interval(0, lo + 1) if kind == "<=" else Interval(lo, None), i
+            if kind == "[" and kinds[i] == "]":
+                return Interval(lo, lo + 1), i + 1
+            i = self.expect(i, "..")
+            if kinds[i] in (")", "]"):  # no upper bound: w
+                upper, closer = None, i
+            elif kinds[i] == "num" or words[i] == "w":
+                upper, closer = None if words[i] == "w" else int(words[i]), i + 1
             else:
-                self.fail(f"expected an upper bound, found {nxt[1]!r}", nxt)
-            if closer[0] not in (")", "]"):
-                self.fail(f"expected ')' or ']', found {closer[1]!r}", closer)
-            return interval_from_bounds(lo, upper, lower_open=lower_open,
-                                        upper_closed=closer[0] == "]")
+                self.fail(f"expected an upper bound, found {words[i]!r}", i)
+            if kinds[closer] not in (")", "]"):
+                self.fail(f"expected ')' or ']', found {words[closer]!r}", closer)
+            return interval_from_bounds(lo, upper, lower_open=kind == "(",
+                                        upper_closed=kinds[closer] == "]"), closer + 1
         except IntervalError as exc:
-            self.fail(str(exc), tok)
+            self.fail(str(exc), j)
 
-    def optional_interval(self) -> Interval:
-        return self.parse_interval() if self.interval_ahead() else Interval(0, None)
+    def bind(self, j: int, build):
+        kind, i = self.kinds[j], j + 1
+        if kind == "name":  # a temporal operator: an interval may follow
+            interval, i = self.interval(i) if self.interval_at(i) else (FULL, i)
+            return partial(build, interval), i
+        if kind == "~" and self.interval_at(i):
+            self.fail("negation takes no interval", i)
+        return build, i
 
-    # -- operators and operands --------------------------------------------
-
-    def bind(self, tok: Token, build):
-        if tok[0] == "name":  # a temporal operator: an interval may follow
-            return partial(build, self.optional_interval())
-        if tok[0] == "~" and self.interval_ahead():
-            self.fail("negation takes no interval")
-        return build
-
-    def primary(self, tok: Token) -> Formula:
-        kind, text, _ = tok
+    def primary(self, j: int):
+        kind, text = self.kinds[j], self.words[j]
         if kind in _CONSTANTS:
-            return _CONSTANTS[kind]
+            return _CONSTANTS[kind], j + 1
         if kind == "name" and ATOM_RE.fullmatch(text):
-            return Atom(text)
+            return Atom(text), j + 1
         self.fail("unexpected end of input" if kind == "<eof>"
                   else f"unknown operator name {text!r}" if kind == "name"
-                  else f"unexpected {text!r}", tok)
+                  else f"unexpected {text!r}", j)
 
 
 def parse_formula(text: str, line_offset: int = 1) -> Formula:

@@ -1,9 +1,11 @@
 """Brute-force reference implementations, independent of the library evaluator.
 
 Only the formula AST classes, metric and first-order, are shared, and the
-renaming of bound variables that closes fom.simplify_fom.  The reference
-parsers are recursive descent, one method per precedence level, on the
-library's tokenizer, cursor and interval reader.
+renaming of bound variables that closes fom.simplify_fom, and ParseError.
+The reference parsers are recursive descent, one method per precedence
+level, on their own tokenizer (one regex match per token or gap), cursor
+and interval reader, apart from the library's, so that the differential
+tests compare two implementations.
 Satisfaction here works on plain (here, there, times) tuples, or a domain
 and atom sets, with explicit world tags and index loops or variable
 bindings, and the bounded trace space is generated with its own nested
@@ -12,14 +14,17 @@ products, so agreement with the library is a meaningful cross-check.
 
 from __future__ import annotations
 
+import re
 from functools import reduce
 from itertools import product
+from typing import NoReturn
 
 from metricht import fom
-from metricht.parser import ATOM_RE, TokenCursor, _logical_lines, _Parser
+from metricht.parser import ATOM_RE, ParseError
 from metricht.syntax import (
-    And, Atom, BOT, Bottom, FINAL, INITIAL, Implies, Next, Or, Prev, Release, Since, Theory,
-    Trigger, TRUE, Until, always, eventually, historically, neg, once, weak_next, weak_prev,
+    And, Atom, BOT, Bottom, FINAL, INITIAL, Implies, Interval, IntervalError, Next, Or, Prev,
+    Release, Since, Theory, Trigger, TRUE, Until, always, eventually, historically,
+    interval_from_bounds, neg, once, weak_next, weak_prev,
 )
 
 
@@ -263,14 +268,133 @@ def theories_equivalent(left, right, atoms, max_len, max_time, strict=True):
 
 # ------------------------------------------------------------------ parsers
 
+Token = tuple[str, str, int]  # (kind, text, offset); kind is the text itself for literals
+
+_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<name>[A-Za-z][A-Za-z0-9_]*)
+      | (?P<num>\d+)
+      | (?P<diff><=\{(?:-?\d+|w)\})
+      | (?P<lit>\#(?:true|false|init|final)|\.\.|<->|->|<=|>=|[()\[\]~&|!?])
+      | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+
+
+def _tokenize(text: str, line_offset: int = 1) -> list[Token]:
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ParseError.at(f"unexpected character {value!r}", text, m.start(), line_offset)
+        if kind != "ws":
+            tokens.append((value if kind == "lit" else kind, value, m.start()))
+    tokens.append(("<eof>", "", len(text)))
+    return tokens
+
+
+def _logical_lines(text: str):
+    """Yield (starting line number, chunk) pairs, joining bracket-open lines."""
+    chunk: list[str] = []
+    start = depth = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("%", 1)[0]
+        if not chunk:
+            start = lineno
+        depth += sum(line.count(c) for c in "([") - sum(line.count(c) for c in ")]")
+        if line.strip() or chunk:
+            chunk.append(line)
+        if chunk and depth <= 0:  # a chunk starts on a line with text
+            yield start, "\n".join(chunk)
+            chunk, depth = [], 0
+    if chunk:
+        yield start, "\n".join(chunk)
+
+
+class TokenCursor:
+    """A position in the tokens of one text."""
+
+    def __init__(self, text: str, line_offset: int = 1):
+        self.text, self.line_offset = text, line_offset
+        self.tokens = _tokenize(text, line_offset)
+        self.pos, self.last = 0, len(self.tokens) - 1
+
+    def peek(self, ahead: int = 0) -> Token:
+        return self.tokens[min(self.pos + ahead, self.last)]
+
+    def next(self) -> Token:
+        tok = self.tokens[self.pos]
+        if self.pos < self.last:
+            self.pos += 1
+        return tok
+
+    def fail(self, message: str, tok: Token | None = None) -> NoReturn:
+        """Raise a ParseError located at `tok`, by default the next token."""
+        offset = (tok or self.peek())[2]
+        raise ParseError.at(message, self.text, offset, self.line_offset)
+
+    def expect(self, kind: str, what: str = "") -> Token:
+        tok = self.next()
+        if tok[0] != kind:
+            self.fail(f"expected {what or repr(kind)}, found {tok[1] or 'end of input'!r}", tok)
+        return tok
+
+    def parse(self):
+        """Run the start rule over the whole text."""
+        result = self.formula()
+        tok = self.peek()
+        if tok[0] != "<eof>":
+            self.fail(f"unexpected trailing input {tok[1]!r}", tok)
+        return result
+
+
 _UNARY_OPS = {"X": Next, "wX": weak_next, "Y": Prev, "wY": weak_prev,
               "G": always, "F": eventually, "H": historically, "O": once}
 _CONSTANTS = {"#true": TRUE, "#false": BOT, "#init": INITIAL, "#final": FINAL}
 _BINARY_OPS = {"U": Until, "R": Release, "S": Since, "T": Trigger}
 
 
-class FormulaParser(_Parser):
+class FormulaParser(TokenCursor):
     """The formula grammar by recursive descent: a Python frame per level."""
+
+    def interval_ahead(self) -> bool:
+        kind = self.peek()[0]
+        if kind in ("[", "<=", ">="):
+            return True
+        return kind == "(" and self.peek(1)[0] == "num" and self.peek(2)[0] == ".."
+
+    def parse_interval(self) -> Interval:
+        tok = self.next()
+        kind = tok[0]
+        try:
+            if kind in ("<=", ">="):
+                num = int(self.expect("num")[1])
+                return Interval(0, num + 1) if kind == "<=" else Interval(num, None)
+            lower_open = kind == "("
+            lo = int(self.expect("num")[1])
+            if not lower_open and self.peek()[0] == "]":
+                self.next()
+                return Interval(lo, lo + 1)
+            self.expect("..")
+            nxt = self.next()
+            if nxt[0] == "num":
+                upper, closer = int(nxt[1]), self.next()
+            elif nxt[1] == "w":
+                upper, closer = None, self.next()
+            elif nxt[0] in (")", "]"):
+                upper, closer = None, nxt
+            else:
+                self.fail(f"expected an upper bound, found {nxt[1]!r}", nxt)
+            if closer[0] not in (")", "]"):
+                self.fail(f"expected ')' or ']', found {closer[1]!r}", closer)
+            return interval_from_bounds(lo, upper, lower_open=lower_open,
+                                        upper_closed=closer[0] == "]")
+        except IntervalError as exc:
+            self.fail(str(exc), tok)
+
+    def optional_interval(self) -> Interval:
+        return self.parse_interval() if self.interval_ahead() else Interval(0, None)
 
     def formula(self):
         lhs = self.implication()

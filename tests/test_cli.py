@@ -447,6 +447,18 @@ def test_check_at_out_of_range(capsys, tmp_path, traffic, member):
     assert capsys.readouterr().err == f"error: --at 3: {single} has states 0 to 0\n"
 
 
+@pytest.mark.parametrize("command", ["models", "equiv"])
+@pytest.mark.parametrize("flags,message", [
+    (["--max-len", "0"], "--max-len 0: must be at least 1"),
+    (["--max-len", "2", "--max-time", "-1"], "--max-time -1: must be non-negative"),
+    (["--max-len", "2", "--alphabet", "p,P"], "--alphabet p,P: invalid atom name 'P'"),
+])
+def test_bound_errors_name_their_flag(capsys, traffic, command, flags, message):
+    theories = [traffic] * (2 if command == "equiv" else 1)
+    assert main([command, *theories, *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_check_at_every_state_of_a_non_strict_trace(run, tmp_path):
     # `--at k` is read at state k's time position: three states share stamp 4,
     # two share 11, and the gap of 40 is capped at 9; every formula at every state

@@ -17,7 +17,7 @@ from metricht.equilibrium import (
 )
 from metricht.parser import parse_theory
 from metricht.semantics import (
-    Program, ht_tables, is_model, mht_sat, region_keys, strictness_axiom,
+    Program, first_trace, ht_tables, is_model, mht_sat, region_keys, strictness_axiom,
 )
 from metricht.syntax import (
     And, Implies, Next, Or, Prev, Release, Since, Theory, Trigger, Until, neg,
@@ -476,6 +476,52 @@ def test_bit_parallel_equiv_matches_the_plain_search(strict):
             assert verdict == _plain_equiv(left, right, bounds)
             differ += not verdict.equivalent
     assert differ > 15
+
+
+def _unclamped_equiv(left, right, bounds):
+    """`bounded_equiv` on the first member of each region class among all time maps
+    within bounds, with no cap on the final time per length."""
+    searched, split = set(), len(left.formulas)
+    program = Program(left.formulas + right.formulas)
+    for times, key in region_keys(bounds, program):
+        if key in searched:
+            continue
+        searched.add(key)
+        timed = program.at(times)
+        trace = first_trace(timed, bounds.alphabet, (program.roots[:split], program.roots[split:]))
+        if trace is not None:
+            for trace in (TimedHTTrace(trace.there, trace.there, times), trace):
+                held = [bits & 1 for bits in timed.bits(trace.here, trace.there)]
+                if all(held[:split]) != all(held[split:]):
+                    side, failing = ("right", held[split:]) if all(held[:split]) \
+                        else ("left", held[:split])
+                    return EquivVerdict(False, (trace, failing.index(0), side))
+    return EquivVerdict(True, None)
+
+
+def test_equiv_searches_each_length_up_to_its_capped_time():
+    # every gap of a class's first member is at most max(M, 1), so length L stops
+    # at time (L - 1) * max(M, 1): verdicts and counterexamples stay those of the
+    # search over every time map
+    rng, capped = random.Random(48), 0
+    for n in range(1_500):
+        bounds = EnumerationBounds(("p", "q"), rng.randint(1, 3), rng.randint(0, 9),
+                                   strict_only=n % 2 == 0)
+        left = _seeded_theory(rng)
+        for right in (_seeded_theory(rng), Theory(tuple(neg(neg(phi)) for phi in left))):
+            assert bounded_equiv(left, right, bounds) == _unclamped_equiv(left, right, bounds)
+        endpoints = Program(left.formulas + right.formulas).endpoints
+        capped += (bounds.max_len - 1) * max(endpoints[-1:] + [1]) < bounds.max_time
+    assert capped > 400
+    # G p has only [0..w) windows (M = 0); the strict maps of length 2 still run
+    left, right = parse_theory("G p"), parse_theory("p")
+    verdict = bounded_equiv(left, right, EnumerationBounds(("p",), 2, 5))
+    assert verdict.counterexample == (total_trace([{"p"}, set()], [0, 1]), 0, "left")
+    # the rules' M is 31: a time bound of 10^20 searches what 31 does
+    with time_limit(10, "equiv up to time 10^20"):
+        assert bounded_equiv(RULES, Theory((parse_theory("G (green -> ~red)").formulas[0],)
+                                           + RULES.formulas[1:]),
+                             EnumerationBounds(TRAFFIC_ATOMS, 2, 10 ** 20)).equivalent
 
 
 def test_bit_parallel_equiv_across_chunks():
